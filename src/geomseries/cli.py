@@ -10,6 +10,7 @@ traceable to exact programs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -204,6 +205,7 @@ def cmd_markov(args) -> int:
             "mean_cost": str(result.mean_cost),
             "avg_base": result.avg_base,
             "base_probs": {str(p): str(q) for p, q in sorted(result.base_probs.items())},
+            "solver": dataclasses.asdict(result.solver),
         }
         if chain.modulus <= 64 or args.full_dist:
             row["stationary"] = [str(p) for p in result.dist]

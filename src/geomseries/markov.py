@@ -10,10 +10,10 @@ multiplications per level and, after normalizing by the expected bits
 removed per level, the asymptotic coefficient in front of log2(N).
 
 All chain data is exact rational.  The stationary solve returns exact
-rationals too: small chains are eliminated directly over Fraction; large
-ones are solved by p-adic lifting modulo a word-size prime and the
-candidate is then *verified* as an exact fixed point, so a returned
-distribution is certified regardless of how it was found.
+rationals too: every closed class, whatever its size, is solved by p-adic
+lifting modulo a prime below 2^20 whose LU runs as exact float64 BLAS
+products, and the candidate is then *verified* as an exact fixed point,
+so a returned distribution is certified regardless of how it was found.
 """
 
 from __future__ import annotations
@@ -62,11 +62,24 @@ class ResidueChain:
 
 
 @dataclass(frozen=True)
+class SolverFacts:
+    """How an exact stationary solve went: the closed-class size, the prime
+    that certified, and the p-adic digits lifted and reconstructions tried,
+    both counted over every prime tried."""
+
+    states: int
+    prime: int
+    digits: int
+    reconstructions: int
+
+
+@dataclass(frozen=True)
 class StationaryResult:
     """Exact stationary distribution and the derived cost coefficient.
 
     ``coefficient`` is mean multiplications per level divided by mean
     bits removed per level: the factor in front of log2(N) for large N.
+    ``solver`` records how the exact solve went.
     """
 
     dist: tuple[Fraction, ...]
@@ -74,6 +87,7 @@ class StationaryResult:
     mean_cost: Fraction
     avg_base: float
     coefficient: float
+    solver: SolverFacts
 
 
 def build_chain(
@@ -111,66 +125,38 @@ def build_chain(
 # -- stationary distribution -------------------------------------------------
 
 
-def _strongly_connected(rows) -> list[list[int]]:
-    """Iterative Tarjan; components in reverse topological order."""
-    n = len(rows)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            targets = rows[v]
-            while pi < len(targets):
-                w = targets[pi][0]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
-
-
 def _closed_classes(chain: ResidueChain) -> list[tuple[int, ...]]:
-    comps = _strongly_connected(chain.rows)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    """Strongly connected classes that no edge leaves, by iterative Tarjan."""
+    succ = [[t for t, _ in row] for row in chain.rows]
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    done: set[int] = set()
     closed = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[t] == ci for v in comp for t, _ in chain.rows[v]):
-            closed.append(tuple(sorted(comp)))
+    for root in range(len(succ)):
+        work = [] if root in index else [(root, iter(succ[root]))]
+        while work:
+            v, targets = work[-1]
+            if v not in index:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+            for w in targets:
+                if w not in index:
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in done:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while stack and index[stack[-1]] >= index[v]:
+                        comp.add(stack.pop())
+                    done |= comp
+                    if all(t in comp for u in comp for t in succ[u]):
+                        closed.append(tuple(sorted(comp)))
     return closed
 
 
@@ -191,112 +177,126 @@ def _verify_fixed_point(chain: ResidueChain, dist: list[Fraction]) -> bool:
     return flow == dist
 
 
-def _solve_fraction(chain: ResidueChain, states: list[int]) -> list[Fraction]:
-    """Dense exact elimination of (T^t - I) with a normalization row."""
-    m = len(states)
-    pos = {s: i for i, s in enumerate(states)}
-    a = [[Fraction(0)] * (m + 1) for _ in range(m)]
-    for s in states:
-        i = pos[s]
-        for t, p in chain.rows[s]:
-            a[pos[t]][i] += p
-        a[i][i] -= 1
-    for j in range(m):
-        a[m - 1][j] = Fraction(1)
-    a[m - 1][m] = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular stationary system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][m] for i in range(m)]
+# The system is solved mod a prime p < 2^20 in float64.  A product of two
+# residues is below 2^40, so a BLAS product of inner dimension at most
+# _EXACT_INNER sums integers below (p - 1)^2 * 8192 < 2^53 - 2^34: it is
+# exact in any summation order and at any BLAS thread count.
+_SOLVE_PRIMES = (1048573, 1048571, 1048559)
+_EXACT_INNER = 8192
+_BLOCK = 64
+_MAX_PADIC_DIGITS = 1024
+_CHECKPOINT_GROWTH = 1.25  # reconstruct each time p^k grows by this factor in bits
+_STATIONARY_CACHE_SIZE = 8
 
 
-_SOLVE_PRIMES = (2147483647, 2147483629, 2147483587)
-_MAX_PADIC_DIGITS = 512
-_RECONSTRUCT_CHECKPOINTS = frozenset({8, 16, 32, 64, 96, 128, 192, 256, 384, 512})
-
-
-def _integer_system(
-    chain: ResidueChain, states: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _integer_system(chain: ResidueChain, states: list[int]) -> tuple[np.ndarray, ...]:
     """Integer form of the stationary system after column scaling.
 
-    With y_j = pi_j / P_j the balance equations become integer: row t gets
-    +1 for each in-edge and -P_j on the diagonal.  The last balance row is
-    replaced by the normalization sum(P_j y_j) = 1.  Returned as COO
-    triples plus the per-column bases.
+    With Q_j the common denominator of row j's probabilities (the base P_j
+    of a residue chain) and y_j = pi_j / Q_j, balance row t gets Q_j q for
+    each edge j -> t of probability q and -Q_t on the diagonal; the last
+    row is the normalization sum(Q_j y_j) = 1.  Returns COO triples and Q.
     """
     m = len(states)
     pos = {s: i for i, s in enumerate(states)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    bases = np.empty(m, dtype=np.int64)
-    for s in states:
-        j = pos[s]
-        bases[j] = chain.policy[s][0]
-        for t, _ in chain.rows[s]:
-            ti = pos[t]
-            if ti < m - 1:
-                rows.append(ti)
-                cols.append(j)
-                vals.append(1)
-        if j < m - 1:
-            rows.append(j)
-            cols.append(j)
-            vals.append(-int(bases[j]))
-        rows.append(m - 1)
-        cols.append(j)
-        vals.append(int(bases[j]))
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(vals, dtype=np.int64),
-        bases,
-    )
+    scale = [math.lcm(*(q.denominator for _, q in chain.rows[s])) for s in states]
+    edges = [(pos[t], j, int(q * scale[j])) for j, s in enumerate(states) for t, q in chain.rows[s]]
+    edges = np.array([e for e in edges if e[0] < m - 1], dtype=np.int64).reshape(-1, 3)
+    scale, diag = np.array(scale, dtype=np.int64), np.arange(m)
+    rows = np.concatenate([edges[:, 0], diag[:-1], np.full(m, m - 1)])
+    cols = np.concatenate([edges[:, 1], diag[:-1], diag])
+    vals = np.concatenate([edges[:, 2], -scale[:-1], scale]).astype(np.float64)
+    return rows, cols, vals, scale
 
 
-def _lu_mod_p(dense: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Packed LU with partial pivoting over GF(p); None if singular mod p."""
-    a = dense % p
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p into [0, p), in place, for integer-valued |x| <= 2^53 - p.  floor(x * (1/p))
+    is off by at most one, which the masked corrections absorb; np.fmod is far slower."""
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
+def _matvec(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """A vector congruent to a @ x mod p with entries below (p - 1)^2 * 8192."""
+    if a.shape[1] <= _EXACT_INNER:
+        return a @ x
+    out = np.zeros(a.shape[0])
+    for s in range(0, a.shape[1], _EXACT_INNER):
+        out += _reduce(a[:, s : s + _EXACT_INNER] @ x[s : s + _EXACT_INNER], p)
+    return out
+
+
+def _unit_triangular_inverse(n: np.ndarray, p: int) -> np.ndarray:
+    """(I - n)^-1 mod p for a stack of strictly triangular, hence nilpotent, blocks
+    n: the finite geometric series I + n + n^2 + ... as (I + n)(I + n^2)(I + n^4)..."""
+    eye = np.eye(n.shape[-1])
+    inv, span = eye + n, 2
+    while span < n.shape[-1]:
+        n = _reduce(n @ n, p)
+        inv, span = _reduce(inv @ (eye + n), p), 2 * span
+    return inv
+
+
+def _factor_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Blocked LU mod p of the reduced, column-major a in place: a[perm] = L U.
+
+    Returns perm and the stacked inverses of the diagonal blocks of L and U,
+    or None if a is singular mod p.  A panel step reduces only the pivot
+    column and row.  The block row is one product with the L block inverse;
+    the trailing update is one BLAS product, reduced only when a panel or
+    block row reads it or its inner dimension could pass _EXACT_INNER.
+    """
     m = a.shape[0]
     perm = np.arange(m)
-    for k in range(m):
-        nz = np.nonzero(a[k:, k])[0]
-        if nz.size == 0:
-            return None
-        piv = k + int(nz[0])
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        inv = pow(int(a[k, k]), p - 2, p)
-        if k + 1 < m:
-            a[k + 1 :, k] = (a[k + 1 :, k] * inv) % p
-            factors = a[k + 1 :, k][:, None]
-            a[k + 1 :, k + 1 :] = (a[k + 1 :, k + 1 :] - factors * a[k, k + 1 :][None, :]) % p
-    inv_diag = np.array([pow(int(a[i, i]), p - 2, p) for i in range(m)], dtype=np.int64)
-    return a, perm, inv_diag
+    diag = np.tile(np.eye(_BLOCK), (-(-m // _BLOCK), 1, 1))
+    linv = np.empty_like(diag)
+    pending = 0
+    for i, k in enumerate(range(0, m, _BLOCK)):
+        e = min(k + _BLOCK, m)
+        for j in range(k, e):
+            nonzero = np.flatnonzero(_reduce(a[j:, j], p))
+            if nonzero.size == 0:
+                return None
+            piv = j + int(nonzero[0])
+            if piv != j:
+                a[[j, piv]] = a[[piv, j]]
+                perm[[j, piv]] = perm[[piv, j]]
+            a[j + 1 :, j] = _reduce(a[j + 1 :, j] * pow(int(a[j, j]), -1, p), p)
+            a[j + 1 :, j + 1 : e] -= np.outer(a[j + 1 :, j], _reduce(a[j, j + 1 : e], p))
+        diag[i, : e - k, : e - k] = a[k:e, k:e]
+        linv[i] = _unit_triangular_inverse(_reduce(-np.tril(diag[i], -1), p), p)
+        if e == m:
+            break
+        a[k:e, e:] = _reduce(linv[i, : e - k, : e - k] @ _reduce(a[k:e, e:], p), p)
+        if pending + 2 * _BLOCK > _EXACT_INNER:
+            _reduce(a[e:, e:], p)
+            pending = 0
+        # the transposed product comes out in a's column-major layout
+        a[e:, e:] -= (a[k:e, e:].T @ a[e:, k:e].T).T
+        pending += _BLOCK
+    # U = D (I - n) with n = -D^-1 (U - D), so U^-1 = (I - n)^-1 D^-1
+    dinv = np.vectorize(lambda d: float(pow(int(d), -1, p)))(diag.diagonal(0, 1, 2))
+    n = _reduce(-dinv[:, :, None] * np.triu(diag, 1), p)
+    return perm, linv, _reduce(_unit_triangular_inverse(n, p) * dinv[:, None, :], p)
 
 
-def _lu_solve_mod_p(
-    lu: np.ndarray, perm: np.ndarray, inv_diag: np.ndarray, p: int, rhs: np.ndarray
-) -> np.ndarray:
+def _solve_mod(lu: np.ndarray, factored: tuple, b: np.ndarray, p: int) -> np.ndarray:
+    """x with L U x = b[perm] mod p, by blocked forward and back substitution."""
+    perm, linv, uinv = factored
     m = lu.shape[0]
-    y = rhs[perm] % p
-    for i in range(1, m):
-        s = int(((lu[i, :i] * y[:i]) % p).sum()) % p
-        y[i] = (int(y[i]) - s) % p
-    x = np.zeros(m, dtype=np.int64)
-    for i in range(m - 1, -1, -1):
-        s = int(((lu[i, i + 1 :] * x[i + 1 :]) % p).sum()) % p if i + 1 < m else 0
-        x[i] = ((int(y[i]) - s) * int(inv_diag[i])) % p
+    x = _reduce(b[perm], p)
+    blocks = [(i, s, min(s + _BLOCK, m)) for i, s in enumerate(range(0, m, _BLOCK))]
+    for i, s, e in blocks:
+        t = _reduce(x[s:e] - _matvec(lu[s:e, :s], x[:s], p), p)
+        x[s:e] = _reduce(linv[i, : e - s, : e - s] @ t, p)
+    for i, s, e in reversed(blocks):
+        t = _reduce(x[s:e] - _matvec(lu[s:e, e:], x[e:], p), p)
+        x[s:e] = _reduce(uinv[i, : e - s, : e - s] @ t, p)
     return x
 
 
@@ -318,65 +318,73 @@ def _rational_reconstruct(c: int, modulus: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _dixon_solve(chain: ResidueChain, states: list[int]) -> list[Fraction] | None:
-    """Exact rational stationary distribution by p-adic lifting.
+def _reconstruct(values, modulus: int, scale, states, size: int) -> list[Fraction] | None:
+    """Length-size pi with pi[states[j]] = Q_j y_j, y_j = values_j mod modulus; or None.
 
-    The stationary probabilities of these chains have denominators far
-    beyond any fixed set of word-size primes (hundreds of bits already at
-    modulus 210), so the solution is lifted digit by digit modulo one
-    prime: each digit costs only two triangular solves and one sparse
-    integer residual, and reconstruction is attempted at geometrically
-    spaced checkpoints until the exact fixed-point check passes.
+    The y_j share one denominator, grown as it goes: a value times the
+    denominator so far needs a rational reconstruction, whose denominator
+    joins the common one, only if its symmetric residue exceeds the bound.
+    """
+    bound = math.isqrt(modulus // 2)
+    den, dist = 1, [Fraction(0)] * size
+    for v, q, s in zip(values, scale, states):
+        r = v * den % modulus
+        if r > modulus // 2:
+            r -= modulus
+        if abs(r) > bound:
+            rec = _rational_reconstruct(r, modulus)
+            if rec is None or den * rec.denominator > bound:
+                return None
+            den *= rec.denominator
+            r = rec.numerator
+        dist[s] = Fraction(int(q) * r, den)
+    return dist
+
+
+def _dixon_solve(chain: ResidueChain, states: list[int]) -> tuple[list[Fraction], SolverFacts]:
+    """Exact stationary distribution, zero off ``states``, by p-adic lifting.
+
+    Denominators run to hundreds of bits already at modulus 210, so the
+    solution is lifted digit by digit modulo one prime p < 2^20, factored
+    once (_factor_mod).  A digit costs one blocked substitution, made of
+    products with the diagonal block inverses, and one sparse residual.
+    A common denominator is reconstructed each time p^k has grown by
+    _CHECKPOINT_GROWTH in bits; only an exact fixed point is returned.  A
+    prime that divides the determinant, or does not certify within
+    _MAX_PADIC_DIGITS digits, gives way to the next one.
     """
     m = len(states)
-    rows, cols, vals, bases = _integer_system(chain, states)
-    dense = np.zeros((m, m), dtype=np.int64)
-    np.add.at(dense, (rows, cols), vals)
-    rhs0 = np.zeros(m, dtype=np.int64)
-    rhs0[m - 1] = 1
+    rows, cols, vals, scale = _integer_system(chain, states)
+    digits = attempts = 0
     for p in _SOLVE_PRIMES:
-        factored = _lu_mod_p(dense, p)
+        lu = np.zeros((m, m), order="F")
+        np.add.at(lu, (rows, cols), vals)
+        factored = _factor_mod(_reduce(lu, p), p)
         if factored is None:
             continue
-        lu, perm, inv_diag = factored
-        digits: list[np.ndarray] = []
-        b = rhs0.copy()
-        while len(digits) < _MAX_PADIC_DIGITS:
-            x = _lu_solve_mod_p(lu, perm, inv_diag, p, b % p)
-            digits.append(x)
-            bx = np.zeros(m, dtype=np.int64)
-            np.add.at(bx, rows, vals * x[cols])
-            r = b - bx
-            if (r % p).any():
+        b = np.zeros(m)
+        b[-1] = 1
+        value = np.zeros(m, dtype=object)
+        power, next_bits = 1, 0.0
+        for k in range(1, _MAX_PADIC_DIGITS + 1):
+            x = _solve_mod(lu, factored, b, p)
+            value += x.astype(np.int64).astype(object) * power
+            power *= p
+            digits += 1
+            r = b - np.bincount(rows, weights=vals * x[cols], minlength=m)
+            if np.fmod(r, p).any():
                 raise AssertionError("p-adic residual not divisible by the prime")
-            b = r // p
-            if len(digits) in _RECONSTRUCT_CHECKPOINTS:
-                modulus = p ** len(digits)
-                cand: list[Fraction] = []
-                for j in range(m):
-                    acc = 0
-                    for d in reversed(digits):
-                        acc = acc * p + int(d[j])
-                    rec = _rational_reconstruct(acc, modulus)
-                    if rec is None:
-                        break
-                    cand.append(int(bases[j]) * rec)
-                else:
-                    full = _expand(chain, states, cand)
-                    if _verify_fixed_point(chain, full):
-                        return cand
-        return None
-    return None
+            b = r / p
+            if power.bit_length() < next_bits and k < _MAX_PADIC_DIGITS:
+                continue
+            next_bits = _CHECKPOINT_GROWTH * power.bit_length()
+            attempts += 1
+            dist = _reconstruct(value, power, scale, states, chain.modulus)
+            if dist is not None and _verify_fixed_point(chain, dist):
+                return dist, SolverFacts(m, p, digits, attempts)
+    raise ArithmeticError(f"stationary solve not certified with primes {list(_SOLVE_PRIMES)}")
 
 
-def _expand(chain: ResidueChain, states: list[int], values: list[Fraction]) -> list[Fraction]:
-    full = [Fraction(0)] * chain.modulus
-    for s, v in zip(states, values):
-        full[s] = v
-    return full
-
-
-_FRACTION_SOLVE_LIMIT = 64
 _stationary_cache: dict[ResidueChain, StationaryResult] = {}
 
 
@@ -385,29 +393,16 @@ def stationary(chain: ResidueChain) -> StationaryResult:
 
     Transient residues get probability zero.  Raises ReducibleChainError
     when more than one closed class exists.  The result is always checked
-    to be an exact fixed point before being returned, and is cached per
-    chain since large solves are expensive.
+    to be an exact fixed point before being returned, and the last few
+    results are cached per chain since large solves are expensive.
     """
-    cache_key = chain
-    cached = _stationary_cache.get(cache_key)
+    cached = _stationary_cache.get(chain)
     if cached is not None:
         return cached
     closed = _closed_classes(chain)
     if len(closed) != 1:
         raise ReducibleChainError(closed)
-    states = list(closed[0])
-
-    dist_c: list[Fraction] | None = None
-    if len(states) <= _FRACTION_SOLVE_LIMIT:
-        dist_c = _solve_fraction(chain, states)
-        if not _verify_fixed_point(chain, _expand(chain, states, dist_c)):
-            raise ArithmeticError("exact elimination produced a non-fixed point")
-    else:
-        dist_c = _dixon_solve(chain, states)
-        if dist_c is None:
-            raise ArithmeticError("could not certify an exact stationary distribution")
-
-    dist = _expand(chain, states, dist_c)
+    dist, facts = _dixon_solve(chain, list(closed[0]))
     base_probs: dict[int, Fraction] = {p: Fraction(0) for p in chain.bases}
     mean_cost = Fraction(0)
     mean_bits = 0.0
@@ -426,8 +421,11 @@ def stationary(chain: ResidueChain) -> StationaryResult:
         mean_cost=mean_cost,
         avg_base=avg_base,
         coefficient=coefficient,
+        solver=facts,
     )
-    _stationary_cache[cache_key] = result
+    _stationary_cache[chain] = result
+    while len(_stationary_cache) > _STATIONARY_CACHE_SIZE:
+        del _stationary_cache[next(iter(_stationary_cache))]
     return result
 
 
@@ -521,6 +519,7 @@ def empirical_slope_stats(
 __all__ = [
     "ResidueChain",
     "StationaryResult",
+    "SolverFacts",
     "ReducibleChainError",
     "build_chain",
     "stationary",

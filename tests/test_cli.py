@@ -90,6 +90,15 @@ def test_markov_json(capsys):
     assert abs(rows[0]["coefficient"] - 1.9245) < 1e-3
 
 
+def test_markov_json_reports_solver_facts(capsys):
+    code, out = run(capsys, "markov", "--bases", "3,2", "--bases", "7,5,3,2", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert rows[0]["solver"] == {"states": 6, "prime": 1048573, "digits": 1, "reconstructions": 1}
+    assert rows[1]["solver"]["states"] == 210
+    assert rows[1]["solver"]["digits"] >= rows[1]["solver"]["reconstructions"] >= 1
+
+
 def test_markov_empirical_column(capsys):
     code, out = run(
         capsys, "markov", "--bases", "3,2", "--empirical", "300",

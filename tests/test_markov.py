@@ -1,6 +1,8 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from geomseries import markov
@@ -134,13 +136,131 @@ def test_modulus_override_keeps_coefficient():
 
 
 def test_dixon_agrees_with_fraction_elimination():
-    # same policy analyzed at modulus 10 (dense exact elimination) and at
-    # modulus 70 (above the elimination limit, so the p-adic path runs)
+    # same policy analyzed at modulus 10 and at modulus 70: the stationary
+    # quantities must not depend on the modulus the chain is built on
     small = stationary(build_chain((5, 2)))
     lifted = stationary(build_chain((5, 2), modulus=70))
     assert lifted.base_probs[5] == small.base_probs[5]
     assert lifted.mean_cost == small.mean_cost
     assert lifted.coefficient == pytest.approx(small.coefficient, abs=1e-14)
+
+
+# sha256 of str(stationary(chain).dist), first computed by dense Fraction
+# elimination (small chains) and by lifting mod 31-bit primes (large ones):
+# the distributions must stay identical as Fractions.
+PINNED_DISTRIBUTIONS = {
+    ((5, 3, 2), None): "d79ed7d7928c84ec8be90c1d8e67a721b11f8dc7992f4b5accc3b130dcc6bf07",
+    ((7, 5, 3, 2), None): "dbcd5e834931cccdd0659103e6c9c7ca90de56d651a9152b7dd65b29f8eed97e",
+    ((11, 7, 5, 2), None): "cd51ffe06cdc1c283c31659a724f20eadd469fbd7abf81475a610b9a45d31d01",
+    ((11, 7, 5, 3, 2), None): "29d53da02a0a2c021f53cea51616e4c9afd2d7f81a422c74c8e9b89f47692519",
+    ((5, 2), 70): "cad570b67d2233976352114e32b2302a9b22a3e93c46ca5c5852a9599a5343cb",
+}
+
+
+@pytest.mark.parametrize("bases,modulus", list(PINNED_DISTRIBUTIONS))
+def test_stationary_distribution_is_pinned(bases, modulus):
+    res = stationary(build_chain(bases, modulus=modulus))
+    digest = hashlib.sha256(str(res.dist).encode()).hexdigest()
+    assert digest == PINNED_DISTRIBUTIONS[(bases, modulus)]
+
+
+def test_chunked_inner_dimension_keeps_the_distribution(monkeypatch):
+    # a small bound forces the paths that chains above 8192 states take:
+    # trailing reductions after every panel and chunked substitution products
+    monkeypatch.setattr(markov, "_stationary_cache", {})
+    monkeypatch.setattr(markov, "_EXACT_INNER", 128)
+    res = stationary(build_chain((7, 5, 3, 2)))
+    digest = hashlib.sha256(str(res.dist).encode()).hexdigest()
+    assert digest == PINNED_DISTRIBUTIONS[((7, 5, 3, 2), None)]
+
+
+@pytest.mark.parametrize("p", markov._SOLVE_PRIMES)
+def test_reduce_matches_integer_mod(p):
+    top = 2**53 // p - 2
+    q = np.concatenate(
+        [np.arange(top - 50_000, top), np.arange(-top, 50_000 - top), np.arange(-50_000, 50_000)]
+    )
+    # multiples of p and their neighbours up to |x| = 2^53 - p, where
+    # floor(x * (1/p)) is off by one for some large x of either sign
+    values = (q[:, None] * p + np.arange(-2, 3)).ravel()
+    got = markov._reduce(values.astype(np.float64), p)
+    assert np.array_equal(got, values % p)
+
+
+def test_single_state_closed_class():
+    one = F(1)
+    # 0 -> 1 and 2 -> 0 are transient; 1 is absorbing
+    chain = ResidueChain(
+        bases=(2,),
+        modulus=3,
+        rows=(((1, one),), ((1, one),), ((0, one),)),
+        policy=((2, 2), (2, 2), (2, 2)),
+    )
+    res = stationary(chain)
+    assert res.dist == (F(0), F(1), F(0))
+    assert res.solver.states == 1
+    alone = stationary(ResidueChain((2,), 1, (((0, one),),), ((2, 2),)))
+    assert alone.dist == (F(1),)
+    assert alone.coefficient == pytest.approx(2.0)
+
+
+def test_row_probabilities_need_not_be_uniform():
+    # pi_0 = pi_0 / 3 + pi_1 / 2 gives (3/7, 4/7), whatever the policy's base
+    chain = ResidueChain(
+        bases=(2,),
+        modulus=2,
+        rows=(((0, F(1, 3)), (1, F(2, 3))), ((0, F(1, 2)), (1, F(1, 2)))),
+        policy=((2, 2), (2, 2)),
+    )
+    assert stationary(chain).dist == (F(3, 7), F(4, 7))
+
+
+def test_transient_states_feed_the_three_two_chain():
+    inner = build_chain((3, 2))
+    # residues 0..5 each leak into their copy 6..11 of the {3,2} chain
+    chain = ResidueChain(
+        bases=(3, 2),
+        modulus=12,
+        rows=tuple(((j + 6, F(1)),) for j in range(6))
+        + tuple(tuple((t + 6, q) for t, q in row) for row in inner.rows),
+        policy=inner.policy * 2,
+    )
+    res = stationary(chain)
+    assert res.dist == (F(0),) * 6 + stationary(inner).dist
+    assert res.solver.states == 6
+
+
+def test_solver_falls_through_to_the_next_prime(monkeypatch):
+    # 5 divides the determinant -270 of the {3,2} system, so it cannot
+    # factor; 7 factors, but one digit mod 7 cannot carry the denominators
+    monkeypatch.setattr(markov, "_stationary_cache", {})
+    monkeypatch.setattr(markov, "_SOLVE_PRIMES", (5, 7, 1048573))
+    monkeypatch.setattr(markov, "_MAX_PADIC_DIGITS", 1)
+    chain = build_chain((3, 2))
+    res = stationary(chain)
+    assert res.dist == (F(1, 10), F(2, 10), F(2, 10), F(1, 10), F(2, 10), F(2, 10))
+    assert manual_flow(chain, list(res.dist)) == list(res.dist)
+    assert res.solver == markov.SolverFacts(states=6, prime=1048573, digits=2, reconstructions=2)
+
+
+def test_solver_names_the_primes_it_tried(monkeypatch):
+    monkeypatch.setattr(markov, "_stationary_cache", {})
+    monkeypatch.setattr(markov, "_SOLVE_PRIMES", (5, 7))
+    monkeypatch.setattr(markov, "_MAX_PADIC_DIGITS", 1)
+    with pytest.raises(ArithmeticError, match=r"primes \[5, 7\]"):
+        stationary(build_chain((3, 2)))
+
+
+def test_stationary_memo_evicts_oldest_first(monkeypatch):
+    monkeypatch.setattr(markov, "_stationary_cache", {})
+    monkeypatch.setattr(markov, "_STATIONARY_CACHE_SIZE", 2)
+    chains = [build_chain((3, 2), modulus=6 * k) for k in (1, 2, 3)]
+    first = [stationary(chain) for chain in chains]
+    assert list(markov._stationary_cache) == chains[1:]
+    assert stationary(chains[2]) is first[2]
+    again = stationary(chains[0])
+    assert again is not first[0] and again == first[0]
+    assert list(markov._stationary_cache) == chains[2:] + chains[:1]
 
 
 def test_build_chain_validation():
