@@ -270,22 +270,27 @@ def cmd_invert(args) -> int:
         return 1
     if args.out:
         linalg.save_matrix(args.out, a_hat)
-    plan_rep = build_plan(args.terms, args.strategy)
     doc = {
         "n": rep.n,
         "terms": rep.terms,
         "strategy": rep.strategy,
         "matrix_muls": rep.matrix_muls,
+        "matrix_buffers": rep.matrix_buffers,
         "wall_time_s": rep.wall_time,
         "residual_fro": rep.residual_fro,
         "spectral_radius_est": rep.spectral_radius_est,
-        "plan_sha256": plan_digest(plan_rep.program),
+        "spectral_radius_converged": rep.spectral_radius_converged,
+        "spectral_radius_iterations": rep.spectral_radius_iterations,
+        "plan_sha256": rep.plan_sha256,
         "output": args.out,
     }
     text = _dump_json(doc) if args.format == "json" else (
         f"n={rep.n} terms={rep.terms} strategy={rep.strategy} "
-        f"matrix_muls={rep.matrix_muls} residual={rep.residual_fro:.3e} "
-        f"rho={rep.spectral_radius_est:.4f}\n"
+        f"matrix_muls={rep.matrix_muls} matrix_buffers={rep.matrix_buffers} "
+        f"residual={rep.residual_fro:.3e} rho={rep.spectral_radius_est:.4f} "
+        f"rho_converged={rep.spectral_radius_converged} "
+        f"rho_iterations={rep.spectral_radius_iterations} "
+        f"plan_sha256={rep.plan_sha256}\n"
     )
     _write(text, args.report)
     return 0

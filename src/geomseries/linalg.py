@@ -7,14 +7,21 @@ radius of B is below one.  Any oracle-verified plan computes exactly the
 same polynomial as the nested baseline, so both paths agree to rounding
 while the fast path spends fewer matrix-matrix multiplications.
 
-Every multiplication goes through one counting wrapper and numpy's
-matmul, so Direct/Fast timing comparisons use the same kernel and the
-reported counts are the executed ones, not the declared ones.
+Plans run on one in-place engine, :func:`evaluate`.  A liveness pass
+records each register's last read, so its n x n buffer returns to a free
+list right after it; products go into a free buffer, sums and differences
+into an operand that dies there.  The identity is kept as a scalar, so
+``1 + X`` is an O(n) update of X's diagonal.  The engine holds at most one
+buffer per register live at once, and its output equals the generic
+evaluation with ``np.eye`` and ``@`` entry for entry.  It counts the
+products it runs, so inversion and benchmark report executed counts,
+and direct and fast paths share the same matmul kernel.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .planner import AutoPlanner, plan as build_plan
-from .slp import SlpProgram, evaluate, to_json
+from .slp import ADD, INPUT, MUL, ONE, SUB, SlpProgram, to_json
 
 
 def plan_digest(program: SlpProgram) -> str:
@@ -34,37 +41,9 @@ _BINARY_VERSION = 1
 
 
 class ConvergenceError(ValueError):
-    """The series precheck failed: spectral radius of I - A is >= 1."""
-
-
-class _MulCounter:
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-
-class _CountingMatrix:
-    """Matrix ring element; multiplication is matmul and is counted."""
-
-    __slots__ = ("a", "counter")
-
-    def __init__(self, a: np.ndarray, counter: _MulCounter) -> None:
-        self.a = a
-        self.counter = counter
-
-    def __add__(self, other: "_CountingMatrix") -> "_CountingMatrix":
-        return _CountingMatrix(self.a + other.a, self.counter)
-
-    def __sub__(self, other: "_CountingMatrix") -> "_CountingMatrix":
-        return _CountingMatrix(self.a - other.a, self.counter)
-
-    def __mul__(self, other: "_CountingMatrix") -> "_CountingMatrix":
-        self.counter.n += 1
-        return _CountingMatrix(self.a @ other.a, self.counter)
-
-    def ring_one(self) -> "_CountingMatrix":
-        return _CountingMatrix(np.eye(self.a.shape[0]), self.counter)
+    """The series does not converge: the precheck estimated a spectral
+    radius of I - A >= 1, or the result is non-finite or no closer to the
+    inverse than the zero matrix."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +69,10 @@ class NeumannReport:
     wall_time: float
     residual_fro: float
     spectral_radius_est: float
+    spectral_radius_converged: bool
+    spectral_radius_iterations: int
+    plan_sha256: str
+    matrix_buffers: int
 
 
 @dataclass(frozen=True)
@@ -155,12 +138,14 @@ def spectral_radius_estimate(
 
 
 def residual(a, a_hat) -> float:
-    """Frobenius norm of I - A * A_hat."""
+    """Frobenius norm of I - A * A_hat, with one n x n temporary."""
     m = _as_square(a)
     h = _as_square(a_hat)
     if m.shape != h.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {h.shape}")
-    return float(np.linalg.norm(np.eye(m.shape[0]) - m @ h, "fro"))
+    r = m @ h
+    _shift_diagonal(r, -1.0)  # A A_hat - I has the same norm
+    return float(np.linalg.norm(r, "fro"))
 
 
 def random_test_matrix(n: int, seed: int) -> np.ndarray:
@@ -181,6 +166,103 @@ def random_test_matrix(n: int, seed: int) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _shift_diagonal(x: np.ndarray, c: float) -> None:
+    """x += c * I in place, in O(n)."""
+    x.flat[:: x.shape[0] + 1] += c
+
+
+def _identity_minus(m: np.ndarray) -> np.ndarray:
+    """I - m as -m plus 1 on the diagonal: one new matrix, no identity."""
+    b = np.negative(m)
+    _shift_diagonal(b, 1.0)
+    return b
+
+
+def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Run ``program`` over the n x n matrices at x = ``b``, in place.
+
+    Returns the result, the number of matrix products run (one per MUL)
+    and the most n x n buffers held at once, the result among them.
+    ``b`` is only read, and the result is a new buffer.  A register holds
+    a buffer or, for ONE and registers computed from ONE alone, a float c
+    standing for c * I: adding, subtracting or multiplying by it updates a
+    diagonal or scales, the same IEEE operations the generic evaluation
+    with ``np.eye`` and ``@`` performs on every entry it does not merely
+    add an exact zero to.  Each buffer returns to a free list after its
+    register's last read; a product goes into a free buffer, and a sum or
+    difference into an operand buffer that dies there.
+    """
+    n = b.shape[0]
+    instrs = program.instrs
+    last = list(range(len(instrs)))  # a register nobody reads dies at once
+    for i, ins in enumerate(instrs):
+        if ins.op in (ADD, SUB, MUL):
+            last[ins.a] = last[ins.b] = i
+    last[program.output] = len(instrs)
+    regs: list = [None] * len(instrs)
+    free: list[np.ndarray] = []
+    held = products = 0
+
+    def take() -> np.ndarray:
+        nonlocal held
+        if free:
+            return free.pop()
+        held += 1
+        return np.empty((n, n))
+
+    for i, ins in enumerate(instrs):
+        if ins.op == ONE:
+            out = 1.0
+        elif ins.op == INPUT:
+            out = b
+        else:
+            x, y = regs[ins.a], regs[ins.b]
+            xs, ys = isinstance(x, float), isinstance(y, float)
+            if ins.op == MUL:
+                products += 1
+            if xs and ys:
+                out = x * y if ins.op == MUL else x + y if ins.op == ADD else x - y
+            elif ins.op == MUL and not (xs or ys):
+                out = np.matmul(x, y, out=take())  # never aliases an operand
+            else:
+                # elementwise: an operand buffer read here for the last time takes the result
+                out = next(
+                    (v for r, v in ((ins.a, x), (ins.b, y))
+                     if last[r] == i and isinstance(v, np.ndarray) and v is not b),
+                    None,
+                )
+                if out is None:
+                    out = take()
+                if not (xs or ys):
+                    (np.add if ins.op == ADD else np.subtract)(x, y, out=out)
+                elif ins.op == MUL:
+                    np.multiply(x, y, out=out)
+                elif ins.op == SUB and xs:  # c - Y = -Y + c
+                    np.negative(y, out=out)
+                    _shift_diagonal(out, x)
+                else:  # X + c, c + Y, X - c
+                    z, c = (y, x) if xs else (x, y)
+                    if out is not z:
+                        np.copyto(out, z)
+                    _shift_diagonal(out, c if ins.op == ADD else -c)
+        regs[i] = out
+        for r in (ins.a, ins.b, i):  # leaves have no operands
+            if r is not None and last[r] == i and regs[r] is not None:
+                v, regs[r] = regs[r], None
+                if isinstance(v, np.ndarray) and v is not b and (r == i or v is not out):
+                    free.append(v)
+    out = regs[program.output]
+    if isinstance(out, float) or out is b:
+        r = take()
+        if out is b:
+            np.copyto(r, b)
+        else:
+            r.fill(0.0)
+            _shift_diagonal(r, out)
+        out = r
+    return out, products, held
+
+
 def neumann_invert(
     a,
     terms: int,
@@ -194,8 +276,12 @@ def neumann_invert(
     """Approximate inverse from the length-``terms`` series plan at B = I - A.
 
     Executes exactly the plan's declared number of matrix-matrix
-    multiplications (instrumented, and checked).  Refuses matrices whose
-    I - A has estimated spectral radius >= 1 unless ``allow_divergent``.
+    multiplications (counted by the engine, and checked).  Raises
+    ConvergenceError unless ``allow_divergent`` when I - A has estimated
+    spectral radius >= 1, or when the result is non-finite or its
+    residual ||I - A X||_F = ||B^terms||_F is at least sqrt(n) = ||I||_F,
+    that is no better than X = 0.  A non-finite result that is let through
+    reports an infinite residual.
     """
     m = _as_square(a)
     if plan is None:
@@ -209,43 +295,43 @@ def neumann_invert(
             f"plan is for length {plan.series_length}, not the requested {terms}"
         )
     n = m.shape[0]
-    eye = np.eye(n)
-    b = eye - m
+    b = _identity_minus(m)
     rho = spectral_radius_estimate(b, radius_max_iters, radius_tol)
     if rho.value >= 1.0 and not allow_divergent:
         raise ConvergenceError(
             f"estimated spectral radius of I - A is {rho.value:.6g} >= 1; "
             "the series will not converge (pass allow_divergent to override)"
         )
-    counter = _MulCounter()
     start = time.perf_counter()
-    result = evaluate(
-        plan, _CountingMatrix(b, counter), one=_CountingMatrix(eye, counter)
-    )
+    a_hat, products, buffers = evaluate(plan, b)
     wall = time.perf_counter() - start
-    if counter.n != plan.declared_muls:
+    if products != plan.declared_muls:
         raise AssertionError(
-            f"executed {counter.n} matrix multiplications, plan declared "
+            f"executed {products} matrix multiplications, plan declared "
             f"{plan.declared_muls}"
         )
-    a_hat = result.a
+    res = residual(m, a_hat) if np.isfinite(a_hat).all() else math.inf
+    if not res < math.sqrt(n) and not allow_divergent:
+        raise ConvergenceError(
+            f"residual ||I - A X||_F = {res:.6g} is not below sqrt(n) = "
+            f"{math.sqrt(n):.6g}: the series diverged although the estimated "
+            f"spectral radius of I - A is {rho.value:.6g} "
+            "(pass allow_divergent to override)"
+        )
     rep = NeumannReport(
         n=n,
         terms=terms,
         strategy=strategy_label,
-        matrix_muls=counter.n,
+        matrix_muls=products,
         wall_time=wall,
-        residual_fro=residual(m, a_hat),
+        residual_fro=res,
         spectral_radius_est=rho.value,
+        spectral_radius_converged=rho.converged,
+        spectral_radius_iterations=rho.iterations,
+        plan_sha256=plan_digest(plan),
+        matrix_buffers=buffers,
     )
     return a_hat, rep
-
-
-def _timed_eval(plan: SlpProgram, b: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, float, int]:
-    counter = _MulCounter()
-    start = time.perf_counter()
-    out = evaluate(plan, _CountingMatrix(b, counter), one=_CountingMatrix(eye, counter))
-    return out.a, time.perf_counter() - start, counter.n
 
 
 def bench(
@@ -257,9 +343,9 @@ def bench(
 ) -> list[BenchCell]:
     """Direct (nested) vs fast (auto-planned) inversion timings.
 
-    Both paths run on identical seeded matrices with the same matmul
-    kernel; one warm-up run per path is excluded and the timed runs
-    alternate paths.  Times use the monotonic high-resolution clock.
+    Both paths run on identical seeded matrices through the same engine;
+    one warm-up run per path is excluded and the timed runs alternate
+    paths.  Times use the monotonic high-resolution clock.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -267,18 +353,19 @@ def bench(
     cells = []
     for size in sizes:
         a = random_test_matrix(size, seed=seed * 100003 + size)
-        eye = np.eye(size)
-        b = eye - a
+        b = _identity_minus(a)
         for terms in terms_list:
             direct = build_plan(terms, "direct")
             fast = planner.plan(terms)
-            d_out, _, d_muls = _timed_eval(direct.program, b, eye)  # warm-up
-            f_out, _, f_muls = _timed_eval(fast.program, b, eye)
-            d_times = np.empty(replicates)
-            f_times = np.empty(replicates)
+            d_out, d_muls, _ = evaluate(direct.program, b)  # warm-up
+            f_out, f_muls, _ = evaluate(fast.program, b)
+            times = np.empty((2, replicates))
             for i in range(replicates):
-                _, d_times[i], _ = _timed_eval(direct.program, b, eye)
-                _, f_times[i], _ = _timed_eval(fast.program, b, eye)
+                for j, program in enumerate((direct.program, fast.program)):
+                    start = time.perf_counter()
+                    evaluate(program, b)
+                    times[j, i] = time.perf_counter() - start
+            d_times, f_times = times
             denom = float(np.linalg.norm(d_out, "fro")) or 1.0
             cells.append(
                 BenchCell(
@@ -377,6 +464,7 @@ __all__ = [
     "spectral_radius_estimate",
     "residual",
     "random_test_matrix",
+    "evaluate",
     "neumann_invert",
     "bench",
     "save_matrix_csv",

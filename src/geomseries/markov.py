@@ -189,18 +189,42 @@ _CHECKPOINT_GROWTH = 1.25  # reconstruct each time p^k grows by this factor in b
 _STATIONARY_CACHE_SIZE = 8
 
 
-def _integer_system(chain: ResidueChain, states: list[int]) -> tuple[np.ndarray, ...]:
+def _row_scales(chain: ResidueChain) -> list[int]:
+    """Common denominator Q_j of each row's probabilities, after checking in
+    integers that the row is stochastic: every numerator over Q_j positive,
+    and the numerators summing to exactly Q_j."""
+    scales = []
+    for j, row in enumerate(chain.rows):
+        q = math.lcm(*(p.denominator for _, p in row))
+        nums = [p.numerator * (q // p.denominator) for _, p in row]
+        if min(nums, default=0) <= 0 or sum(nums) != q:
+            raise ValueError(
+                f"row {j} of the chain is not stochastic: its probabilities "
+                f"must be positive and sum to 1, got {[str(p) for _, p in row]}"
+            )
+        scales.append(q)
+    return scales
+
+
+def _integer_system(
+    chain: ResidueChain, states: list[int], scales: list[int]
+) -> tuple[np.ndarray, ...]:
     """Integer form of the stationary system after column scaling.
 
-    With Q_j the common denominator of row j's probabilities (the base P_j
-    of a residue chain) and y_j = pi_j / Q_j, balance row t gets Q_j q for
-    each edge j -> t of probability q and -Q_t on the diagonal; the last
-    row is the normalization sum(Q_j y_j) = 1.  Returns COO triples and Q.
+    With Q_j = scales[j], the common denominator of row j's probabilities
+    (the base P_j of a residue chain), and y_j = pi_j / Q_j, balance row t
+    gets Q_j q for each edge j -> t of probability q and -Q_t on the
+    diagonal; the last row is the normalization sum(Q_j y_j) = 1.
+    Returns COO triples and the Q_j of ``states``.
     """
     m = len(states)
     pos = {s: i for i, s in enumerate(states)}
-    scale = [math.lcm(*(q.denominator for _, q in chain.rows[s])) for s in states]
-    edges = [(pos[t], j, int(q * scale[j])) for j, s in enumerate(states) for t, q in chain.rows[s]]
+    scale = [scales[s] for s in states]
+    edges = [
+        (pos[t], j, q.numerator * (scale[j] // q.denominator))
+        for j, s in enumerate(states)
+        for t, q in chain.rows[s]
+    ]
     edges = np.array([e for e in edges if e[0] < m - 1], dtype=np.int64).reshape(-1, 3)
     scale, diag = np.array(scale, dtype=np.int64), np.arange(m)
     rows = np.concatenate([edges[:, 0], diag[:-1], np.full(m, m - 1)])
@@ -341,7 +365,9 @@ def _reconstruct(values, modulus: int, scale, states, size: int) -> list[Fractio
     return dist
 
 
-def _dixon_solve(chain: ResidueChain, states: list[int]) -> tuple[list[Fraction], SolverFacts]:
+def _dixon_solve(
+    chain: ResidueChain, states: list[int], scales: list[int]
+) -> tuple[list[Fraction], SolverFacts]:
     """Exact stationary distribution, zero off ``states``, by p-adic lifting.
 
     Denominators run to hundreds of bits already at modulus 210, so the
@@ -354,7 +380,7 @@ def _dixon_solve(chain: ResidueChain, states: list[int]) -> tuple[list[Fraction]
     _MAX_PADIC_DIGITS digits, gives way to the next one.
     """
     m = len(states)
-    rows, cols, vals, scale = _integer_system(chain, states)
+    rows, cols, vals, scale = _integer_system(chain, states, scales)
     digits = attempts = 0
     for p in _SOLVE_PRIMES:
         lu = np.zeros((m, m), order="F")
@@ -391,18 +417,21 @@ _stationary_cache: dict[ResidueChain, StationaryResult] = {}
 def stationary(chain: ResidueChain) -> StationaryResult:
     """Exact stationary distribution and the asymptotic cost coefficient.
 
-    Transient residues get probability zero.  Raises ReducibleChainError
-    when more than one closed class exists.  The result is always checked
-    to be an exact fixed point before being returned, and the last few
-    results are cached per chain since large solves are expensive.
+    Transient residues get probability zero.  Raises ValueError naming
+    the first row whose probabilities are not positive or do not sum to
+    exactly 1, and ReducibleChainError when more than one closed class
+    exists.  The result is always checked to be an exact fixed point
+    before being returned, and the last few results are cached per chain
+    since large solves are expensive.
     """
     cached = _stationary_cache.get(chain)
     if cached is not None:
         return cached
+    scales = _row_scales(chain)
     closed = _closed_classes(chain)
     if len(closed) != 1:
         raise ReducibleChainError(closed)
-    dist, facts = _dixon_solve(chain, list(closed[0]))
+    dist, facts = _dixon_solve(chain, list(closed[0]), scales)
     base_probs: dict[int, Fraction] = {p: Fraction(0) for p in chain.bases}
     mean_cost = Fraction(0)
     mean_bits = 0.0

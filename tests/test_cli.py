@@ -4,6 +4,7 @@ import numpy as np
 
 from geomseries import linalg
 from geomseries.cli import main
+from geomseries.planner import plan
 from geomseries.slp import from_json, mul_count, passes_oracle
 
 
@@ -160,6 +161,30 @@ def test_invert_divergent_exit_code(tmp_path, capsys):
     code, out = run(capsys, "invert", src, "--terms", "5", "--allow-divergent")
     assert code == 0
     assert json.loads(out)["spectral_radius_est"] >= 1.0
+
+
+def test_invert_json_reports_what_ran(tmp_path, capsys):
+    src = str(tmp_path / "a.csv")
+    linalg.save_matrix_csv(src, linalg.random_test_matrix(10, seed=2))
+    code, out = run(capsys, "invert", src, "--terms", "26")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["plan_sha256"] == linalg.plan_digest(plan(26, "auto").program)
+    assert doc["spectral_radius_converged"] is True
+    assert doc["spectral_radius_iterations"] >= 1
+    assert doc["matrix_buffers"] >= 1
+    code, out = run(capsys, "invert", src, "--terms", "26", "--format", "text")
+    assert code == 0
+    for key in ("matrix_buffers=", "rho_converged=True", "rho_iterations=", "plan_sha256="):
+        assert key in out
+
+
+def test_invert_exit_code_when_the_precheck_is_fooled(tmp_path, capsys):
+    # spectral radius 1.2, but power iteration from all-ones sees 0.5
+    src = str(tmp_path / "fooled.csv")
+    linalg.save_matrix_csv(src, np.array([[0.15, 0.35], [0.35, 0.15]]))
+    code, _ = run(capsys, "invert", src, "--terms", "200")
+    assert code == 1
 
 
 def test_bench_csv_shape(capsys):

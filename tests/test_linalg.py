@@ -1,11 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import brute_series
-from geomseries import linalg
+from geomseries import linalg, slp
 from geomseries.linalg import (
     ConvergenceError,
     bench,
+    evaluate,
     load_matrix,
     load_matrix_binary,
     load_matrix_csv,
@@ -156,6 +160,32 @@ def test_invert_rejects_divergent_unless_overridden():
     assert rep.spectral_radius_est >= 1.0
 
 
+# B = 0.85 I - 0.35 [[0, 1], [1, 0]] has spectral radius 1.2, but the all-ones
+# start vector is its 0.5-eigenvector, so the precheck passes it
+_FOOLED_B = 0.85 * np.eye(2) - 0.35 * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("terms,overflows", [(200, False), (5000, True)])
+def test_invert_rejects_a_result_no_better_than_zero(terms, overflows):
+    a = np.eye(2) - _FOOLED_B
+    assert spectral_radius_estimate(_FOOLED_B).value == pytest.approx(0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError):
+            neumann_invert(a, terms)
+        a_hat, rep = neumann_invert(a, terms, allow_divergent=True)
+    assert np.isfinite(a_hat).all() != overflows
+    assert rep.residual_fro == math.inf if overflows else rep.residual_fro >= math.sqrt(2)
+
+
+def test_invert_report_says_what_ran():
+    prog = plan(26, "auto").program
+    _, rep = neumann_invert(random_test_matrix(12, seed=3), 26, plan=prog)
+    assert rep.plan_sha256 == linalg.plan_digest(prog)
+    assert rep.spectral_radius_converged
+    assert 1 <= rep.spectral_radius_iterations <= 200
+    assert rep.matrix_buffers == evaluate(prog, np.eye(12))[2]
+
+
 def test_invert_validates_inputs():
     with pytest.raises(ValueError):
         neumann_invert(np.ones((2, 3)), 5)
@@ -163,6 +193,106 @@ def test_invert_validates_inputs():
         neumann_invert(np.eye(3) * np.nan, 5)
     with pytest.raises(ValueError):
         neumann_invert(np.eye(3), 5, plan=plan(7, "auto").program)
+
+
+# -- matrix engine ----------------------------------------------------------------
+
+
+class _MatmulRing:
+    """Generic matrix ring element: the identity is np.eye, products are @."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __add__(self, other):
+        return _MatmulRing(self.a + other.a)
+
+    def __sub__(self, other):
+        return _MatmulRing(self.a - other.a)
+
+    def __mul__(self, other):
+        return _MatmulRing(self.a @ other.a)
+
+    def ring_one(self):
+        return _MatmulRing(np.eye(self.a.shape[0]))
+
+
+_STRATEGIES = ("direct", "binary", "ternary", "prime:3", "mixed:11,7,5,3,2", "recurrence", "auto")
+
+
+def test_engine_equals_generic_matmul_evaluation():
+    programs = []
+    for strategy in _STRATEGIES:
+        for terms in range(1, 120):
+            try:
+                programs.append(plan(terms, strategy).program)
+            except ValueError:
+                continue  # strategy not applicable at this length
+    for n in (1, 3, 17):
+        a = random_test_matrix(n, seed=40 + n)
+        b = np.eye(n) - a
+        for prog in programs:
+            got, products, _ = evaluate(prog, b)
+            assert np.array_equal(got, slp.evaluate(prog, _MatmulRing(b)).a)
+            assert products == prog.declared_muls
+            # the residual with one temporary is the textbook formula's
+            assert residual(a, got) == np.linalg.norm(np.eye(n) - a @ got, "fro")
+
+
+def test_engine_handles_every_use_of_the_identity():
+    # 1 - X, X * 1, 1 * 1 and 1 + 1 appear in no emitted plan
+    leaves = [slp.Instr("INPUT"), slp.Instr("ONE")]
+    prog = slp.SlpProgram(
+        tuple(leaves + [
+            slp.Instr("SUB", 1, 0),  # 2: 1 - x
+            slp.Instr("MUL", 2, 1),  # 3: (1 - x) * 1
+            slp.Instr("MUL", 1, 1),  # 4: 1 * 1
+            slp.Instr("ADD", 4, 1),  # 5: 2
+            slp.Instr("SUB", 5, 4),  # 6: 1
+            slp.Instr("MUL", 3, 0),  # 7: (1 - x) x
+            slp.Instr("SUB", 7, 6),  # 8: (1 - x) x - 1
+            slp.Instr("MUL", 5, 8),  # 9: 2 ((1 - x) x - 1)
+            slp.Instr("SUB", 9, 0),  # 10
+            slp.Instr("MUL", 10, 3),  # 11
+        ]),
+        output=11,
+        series_length=1,
+        declared_muls=5,
+    )
+    b = np.eye(5) - random_test_matrix(5, seed=2)
+    got, products, _ = evaluate(prog, b)
+    assert np.array_equal(got, slp.evaluate(prog, _MatmulRing(b)).a)
+    assert products == 5
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 26])
+def test_engine_leaves_its_inputs_alone(terms):
+    a = random_test_matrix(6, seed=terms)
+    a_copy = a.copy()
+    a_hat, _ = neumann_invert(a, terms)
+    assert np.array_equal(a, a_copy)
+    assert not np.shares_memory(a_hat, a)
+    b = np.eye(6) - a
+    b_copy = b.copy()
+    out, _, _ = evaluate(plan(terms, "auto").program, b)
+    assert np.array_equal(b, b_copy)
+    assert not np.shares_memory(out, b)
+    out[:] = 0.0  # the result is the caller's to write
+    assert np.array_equal(b, b_copy)
+
+
+@pytest.mark.parametrize("terms", [26, 677, 458330])
+def test_invert_memory_stays_within_the_engine_buffers(terms):
+    n = 200
+    a = random_test_matrix(n, seed=11)
+    neumann_invert(a, terms)  # plan caches and first-call allocations
+    tracemalloc.start()
+    try:
+        _, rep = neumann_invert(a, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (rep.matrix_buffers + 2) * 8 * n * n
 
 
 # -- bench -------------------------------------------------------------------------

@@ -215,6 +215,17 @@ def test_row_probabilities_need_not_be_uniform():
     assert stationary(chain).dist == (F(3, 7), F(4, 7))
 
 
+@pytest.mark.parametrize("scale", [F(5, 6), F(7, 6), F(0)])
+def test_non_stochastic_row_is_rejected_up_front(scale):
+    chain = build_chain((7, 5, 3, 2))
+    rows = list(chain.rows)
+    rows[0] = tuple((t, q * scale) for t, q in rows[0])
+    bad = ResidueChain(chain.bases, chain.modulus, tuple(rows), chain.policy)
+    with pytest.raises(ValueError, match="row 0 ") as err:
+        stationary(bad)
+    assert not isinstance(err.value, ReducibleChainError)
+
+
 def test_transient_states_feed_the_three_two_chain():
     inner = build_chain((3, 2))
     # residues 0..5 each leak into their copy 6..11 of the {3,2} chain
