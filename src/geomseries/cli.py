@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -46,8 +47,19 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+def _finite(doc):
+    """doc with every non-finite float replaced by None, which JSON can carry."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    return doc
+
+
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+    return json.dumps(_finite(doc), indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
 def _report_doc(rep: PlanReport) -> dict:

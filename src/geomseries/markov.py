@@ -13,19 +13,20 @@ All chain data is exact rational.  The stationary solve returns exact
 rationals too: every closed class, whatever its size, is solved by p-adic
 lifting modulo a prime below 2^20 whose LU runs as exact float64 BLAS
 products, and the candidate is then *verified* as an exact fixed point,
-so a returned distribution is certified regardless of how it was found.
+in integers over its common denominator, so a returned distribution is
+certified regardless of how it was found.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .planner import CostModel, choose_base, default_cost_model, mixed_mul_count
+from .planner import CostModel, default_cost_model
 
 
 class ReducibleChainError(ValueError):
@@ -45,13 +46,21 @@ class ResidueChain:
 
     ``rows[j]`` lists (target, probability) pairs; ``policy[j]`` is the
     (base, per-level multiplications) the planner's rule picks in
-    residue class j.
+    residue class j.  The hash walks every Fraction, so it is computed once.
     """
 
     bases: tuple[int, ...]
     modulus: int
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     policy: tuple[tuple[int, int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fields = (self.bases, self.modulus, self.rows, self.policy)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def dense(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.modulus for _ in range(self.modulus)]
@@ -103,8 +112,8 @@ def build_chain(
     bases = tuple(bases)
     if not bases or min(bases) < 2 or len(set(bases)) != len(bases):
         raise ValueError("bases must be distinct integers >= 2")
-    model = model or default_cost_model()
-    m = math.lcm(*bases)
+    table = (model or default_cost_model()).mixed_table(bases)
+    m = table.modulus
     if modulus is not None:
         if modulus % m != 0:
             raise ValueError(f"modulus must be a multiple of {m}")
@@ -112,7 +121,7 @@ def build_chain(
     rows = []
     policy = []
     for j in range(m):
-        base, _, cost = choose_base(j, bases, model)
+        base, cost = table.policy[j % table.modulus]
         policy.append((base, cost))
         step = m // base
         d = j // base
@@ -160,21 +169,22 @@ def _closed_classes(chain: ResidueChain) -> list[tuple[int, ...]]:
     return closed
 
 
-def _verify_fixed_point(chain: ResidueChain, dist: list[Fraction]) -> bool:
-    if len(dist) != chain.modulus:
+def _verify_fixed_point(chain: ResidueChain, scales: list[int], nums: list[int], den: int) -> bool:
+    """Whether nums / den is an exact stationary distribution of ``chain``.
+
+    Checked in integers: the numerators are >= 0 and sum to den > 0, and with
+    Lq = lcm(scales), the row denominators from _row_scales, the flow into
+    every t, sum_j nums_j * (p_jt * Lq), equals nums_t * Lq.
+    """
+    if len(nums) != chain.modulus or den <= 0 or any(v < 0 for v in nums) or sum(nums) != den:
         return False
-    if any(p < 0 for p in dist):
-        return False
-    if sum(dist) != 1:
-        return False
-    flow = [Fraction(0)] * chain.modulus
-    for i, row in enumerate(chain.rows):
-        pi = dist[i]
-        if pi == 0:
-            continue
-        for t, p in row:
-            flow[t] += pi * p
-    return flow == dist
+    lq = math.lcm(*scales)
+    flow = [0] * chain.modulus
+    for v, row in zip(nums, chain.rows):
+        if v:
+            for t, p in row:
+                flow[t] += v * (p.numerator * (lq // p.denominator))
+    return flow == [v * lq for v in nums]
 
 
 # The system is solved mod a prime p < 2^20 in float64.  A product of two
@@ -342,16 +352,17 @@ def _rational_reconstruct(c: int, modulus: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _reconstruct(values, modulus: int, scale, states, size: int) -> list[Fraction] | None:
-    """Length-size pi with pi[states[j]] = Q_j y_j, y_j = values_j mod modulus; or None.
+def _reconstruct(values, modulus: int, scale, states, size: int) -> tuple[list[int], int] | None:
+    """Length-size numerators over one denominator D, pi = nums / D with
+    pi[states[j]] = Q_j y_j and y_j = values_j mod modulus; or None.
 
-    The y_j share one denominator, grown as it goes: a value times the
-    denominator so far needs a rational reconstruction, whose denominator
-    joins the common one, only if its symmetric residue exceeds the bound.
+    D is grown as it goes: a value times the denominator so far needs a
+    rational reconstruction, whose denominator joins the common one, only
+    if its symmetric residue exceeds the bound.
     """
     bound = math.isqrt(modulus // 2)
-    den, dist = 1, [Fraction(0)] * size
-    for v, q, s in zip(values, scale, states):
+    den, parts = 1, []
+    for v, q in zip(values, scale):
         r = v * den % modulus
         if r > modulus // 2:
             r -= modulus
@@ -361,8 +372,11 @@ def _reconstruct(values, modulus: int, scale, states, size: int) -> list[Fractio
                 return None
             den *= rec.denominator
             r = rec.numerator
-        dist[s] = Fraction(int(q) * r, den)
-    return dist
+        parts.append((int(q) * r, den))
+    nums = [0] * size
+    for s, (num, d) in zip(states, parts):
+        nums[s] = num * (den // d)
+    return nums, den
 
 
 def _dixon_solve(
@@ -375,7 +389,8 @@ def _dixon_solve(
     once (_factor_mod).  A digit costs one blocked substitution, made of
     products with the diagonal block inverses, and one sparse residual.
     A common denominator is reconstructed each time p^k has grown by
-    _CHECKPOINT_GROWTH in bits; only an exact fixed point is returned.  A
+    _CHECKPOINT_GROWTH in bits; only an exact fixed point is returned, and
+    its Fractions are built only after the integer check has passed.  A
     prime that divides the determinant, or does not certify within
     _MAX_PADIC_DIGITS digits, gives way to the next one.
     """
@@ -405,9 +420,10 @@ def _dixon_solve(
                 continue
             next_bits = _CHECKPOINT_GROWTH * power.bit_length()
             attempts += 1
-            dist = _reconstruct(value, power, scale, states, chain.modulus)
-            if dist is not None and _verify_fixed_point(chain, dist):
-                return dist, SolverFacts(m, p, digits, attempts)
+            candidate = _reconstruct(value, power, scale, states, chain.modulus)
+            if candidate is not None and _verify_fixed_point(chain, scales, *candidate):
+                nums, den = candidate
+                return [Fraction(v, den) for v in nums], SolverFacts(m, p, digits, attempts)
     raise ArithmeticError(f"stationary solve not certified with primes {list(_SOLVE_PRIMES)}")
 
 
@@ -480,11 +496,12 @@ def empirical_coefficient_stats(
         raise ValueError("need at least two samples")
     model = model or default_cost_model()
     credit = model.terminal_credit
+    count_muls = model.mixed_table(bases).count
     rng = random.Random(seed)
     vals = []
     for _ in range(sample_count):
         n = rng.randint(lo, hi)
-        vals.append((mixed_mul_count(n, bases, model) + credit) / math.log2(n))
+        vals.append((count_muls(n) + credit) / math.log2(n))
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
     return mean, math.sqrt(var / len(vals))
@@ -527,13 +544,14 @@ def empirical_slope_stats(
         raise ValueError("need at least three samples")
     model = model or default_cost_model()
     credit = model.terminal_credit
+    count_muls = model.mixed_table(bases).count
     rng = random.Random(seed)
     xs = []
     ys = []
     for _ in range(sample_count):
         n = max(2, int(2 ** rng.uniform(lo, hi)))
         xs.append(math.log2(n))
-        ys.append(mixed_mul_count(n, bases, model) + credit)
+        ys.append(count_muls(n) + credit)
     count = len(xs)
     mean_x = sum(xs) / count
     mean_y = sum(ys) / count

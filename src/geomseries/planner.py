@@ -188,13 +188,15 @@ class CostModel:
     next power included) plus one join multiplication.  The test suite
     pins the base-2 and base-3 values: cost(2, *) = 2, cost(3, 0) =
     cost(3, 1) = 3, cost(3, 2) = 4.  ``terminal_credit`` is the pair of
-    multiplications (power + join) the last level never spends.
+    multiplications (power + join) the last level never spends.  The
+    model also keeps one lazily filled ``mixed_table`` per bases set.
     """
 
     terminal_credit = 2
 
     def __init__(self) -> None:
         self._cache: dict[tuple[int, int], int] = {}
+        self._tables: dict[tuple[int, ...], MixedTable] = {}
 
     def cost(self, base: int, residue: int) -> int:
         if base < 2:
@@ -212,6 +214,14 @@ class CostModel:
 
     def table(self, bases: tuple[int, ...]) -> dict[tuple[int, int], int]:
         return {(p, r): self.cost(p, r) for p in sorted(bases) for r in range(p)}
+
+    def mixed_table(self, bases: tuple[int, ...]) -> "MixedTable":
+        """The mixed policy's level table for ``bases`` under this model."""
+        key = tuple(bases)
+        got = self._tables.get(key)
+        if got is None:
+            got = self._tables[key] = MixedTable(key, self)
+        return got
 
 
 @lru_cache(maxsize=1)
@@ -298,27 +308,65 @@ def plan_mixed(
     )
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
+
+    def __init__(self, fill: Callable[[int], object]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: int):
+        got = self[key] = self.fill(key)
+        return got
+
+
+class MixedTable:
+    """The mixed policy's levels for one bases set, filled one entry at a time.
+
+    With L = lcm(bases) and T = max(2 * max(bases), max(TERMINAL_SIZES) + 1),
+    a length n >= T has every base feasible, a quotient of at least 2 and no
+    built-in chain, so its level depends on n mod L alone: ``policy[n % L]``
+    is the (base, cost) that choose_base picks, and the quotient is
+    n // base.  A length below T counts as ``tails[n] = plan_mixed(n).muls``,
+    read off the emitted plan.  2 * max(bases) alone is too low a threshold:
+    for bases (2,) or (3,) the terminals 5, 7 and 11 lie above it.
+    """
+
+    def __init__(self, bases: tuple[int, ...], model: CostModel) -> None:
+        if not bases or min(bases) < 2:
+            raise ValueError("mixed bases must be integers >= 2")
+        self.modulus = math.lcm(*bases)
+        self.threshold = max(2 * max(bases), max(TERMINAL_SIZES) + 1)
+
+        def level(residue: int) -> tuple[int, int]:
+            base, _, cost = choose_base(residue, bases, model)
+            return base, cost
+
+        self.policy = _Memo(level)
+        self.tails = _Memo(lambda n: plan_mixed(n, bases, model).muls)
+
+    def count(self, n: int) -> int:
+        """Multiplications of plan_mixed(n, bases) for n >= 1."""
+        policy, modulus, threshold = self.policy, self.modulus, self.threshold
+        total = 0
+        while n >= threshold:
+            base, cost = policy[n % modulus]
+            total += cost
+            n //= base
+        return total + self.tails[n]
+
+
 def mixed_mul_count(
     n: int, bases: tuple[int, ...] = DEFAULT_MIXED_BASES, model: CostModel | None = None
 ) -> int:
-    """Multiplication count of plan_mixed(n, bases) without building it."""
+    """Multiplication count of plan_mixed(n, bases) without building it.
+
+    Levels above the threshold of ``model.mixed_table(bases)`` add their
+    CostModel cost; the rest is the count of the emitted plan.
+    """
     if n < 1:
         raise ValueError("series length must be >= 1")
-    model = model or default_cost_model()
-    bases = tuple(bases)
-    total = 0
-    while n not in TERMINAL_SIZES:
-        step = _mixed_step(n, bases, model)
-        if step is None:
-            return total + _series_chain_muls(n)
-        base, residue, cost = step
-        quotient = (n - residue) // base
-        if quotient == 1:
-            # no join; for residue 0 the next power is skipped too
-            return total + cost - 1 - (1 if residue == 0 else 0)
-        total += cost
-        n = quotient
-    return total + _series_chain_muls(n)
+    return (model or default_cost_model()).mixed_table(tuple(bases)).count(n)
 
 
 def plan_binary(n: int, model: CostModel | None = None) -> PlanReport:
@@ -717,6 +765,7 @@ __all__ = [
     "plan_mixed",
     "plan_prime_power",
     "plan_recurrence",
+    "MixedTable",
     "mixed_mul_count",
     "mixed_asymptotic_coefficient",
     "predicted_cost",

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -185,6 +188,35 @@ def test_invert_exit_code_when_the_precheck_is_fooled(tmp_path, capsys):
     linalg.save_matrix_csv(src, np.array([[0.15, 0.35], [0.35, 0.15]]))
     code, _ = run(capsys, "invert", src, "--terms", "200")
     assert code == 1
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_invert_json_stays_json_when_the_result_overflows(tmp_path, capsys):
+    src = str(tmp_path / "fooled.csv")
+    linalg.save_matrix_csv(src, np.array([[0.15, 0.35], [0.35, 0.15]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(capsys, "invert", src, "--terms", "5000", "--allow-divergent")
+    assert code == 0
+    assert _strict_json(out)["residual_fro"] is None
+
+
+def test_python_dash_m_runs_the_cli():
+    import geomseries
+
+    src = os.path.dirname(os.path.dirname(geomseries.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "geomseries", "plan", "--n", "25", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert _strict_json(done.stdout)["muls"] == 6
 
 
 def test_bench_csv_shape(capsys):

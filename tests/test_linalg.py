@@ -68,6 +68,25 @@ def test_residual_dimension_mismatch():
         residual(np.eye(3), np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.full((2, 2), np.inf), np.ones((2, 3))])
+def test_public_checks_reject_bad_matrices(bad):
+    with pytest.raises(ValueError):
+        spectral_radius_estimate(bad)
+    with pytest.raises(ValueError):
+        residual(bad, np.eye(2))
+    with pytest.raises(ValueError):
+        residual(np.eye(2), bad)
+
+
+def test_invert_scans_the_input_once(monkeypatch):
+    scanned = []
+    as_square = linalg._as_square
+    monkeypatch.setattr(linalg, "_as_square", lambda a: scanned.append(a) or as_square(a))
+    a = random_test_matrix(8, seed=1)
+    neumann_invert(a, 9)
+    assert len(scanned) == 1 and scanned[0] is a
+
+
 def test_residual_decreases_with_more_terms():
     a = random_test_matrix(40, seed=8)
     values = []

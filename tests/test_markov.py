@@ -15,6 +15,7 @@ from geomseries.markov import (
     empirical_slope_stats,
     stationary,
 )
+from geomseries.planner import CostModel, mixed_mul_count
 
 F = Fraction
 
@@ -272,6 +273,42 @@ def test_stationary_memo_evicts_oldest_first(monkeypatch):
     again = stationary(chains[0])
     assert again is not first[0] and again == first[0]
     assert list(markov._stationary_cache) == chains[2:] + chains[:1]
+
+
+def test_integer_certificate_accepts_only_exact_fixed_points():
+    chain = build_chain((3, 2))
+    scales = markov._row_scales(chain)
+    assert markov._verify_fixed_point(chain, scales, [1, 2, 2, 1, 2, 2], 10)
+    assert markov._verify_fixed_point(chain, scales, [2, 4, 4, 2, 4, 4], 20)
+    # sums to 1, but not a fixed point
+    assert not markov._verify_fixed_point(chain, scales, [2, 1, 2, 1, 2, 2], 10)
+    # a negative entry in a candidate that sums to 1
+    assert not markov._verify_fixed_point(chain, scales, [-1, 3, 2, 2, 2, 2], 10)
+    # the wrong length, with every other condition met
+    assert not markov._verify_fixed_point(chain, scales, [1, 2, 2, 1, 2, 2, 0], 10)
+    assert not markov._verify_fixed_point(chain, scales, [0] * 6, 0)
+
+
+def test_chain_policy_is_the_walker_table():
+    # a level above the table's threshold costs exactly the chain's policy
+    # entry for its residue class, so chain and count cannot disagree
+    model = CostModel()
+    for bases in ((3, 2), (7, 5, 3, 2), (9, 2), (2,)):
+        chain = build_chain(bases, model)
+        table = model.mixed_table(bases)
+        assert chain.policy == tuple(table.policy[j] for j in range(table.modulus))
+        for n in range(table.threshold, table.threshold + 2 * chain.modulus):
+            base, cost = chain.policy[n % chain.modulus]
+            rest = mixed_mul_count((n - n % base) // base, bases, model)
+            assert mixed_mul_count(n, bases, model) == cost + rest
+
+
+def test_chain_hash_is_stored_and_equality_unchanged():
+    first, second = build_chain((5, 3, 2)), build_chain((5, 3, 2), CostModel())
+    assert first == second and hash(first) == hash(second)
+    assert "_hash" not in repr(first)
+    object.__setattr__(second, "_hash", hash(first) + 1)
+    assert first == second  # equality never reads the stored hash
 
 
 def test_build_chain_validation():

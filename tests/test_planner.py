@@ -232,6 +232,22 @@ def test_mixed_count_walker_matches_built_plans():
             assert mixed_mul_count(n, bases, model) == plan_mixed(n, bases, model).muls
 
 
+@pytest.mark.parametrize("bases", [(2,), (3,), (9, 2), (6, 5, 2), (4, 3)])
+def test_table_walker_matches_built_plans(bases):
+    # for (2,) and (3,) the terminals 5, 7 and 11 lie above 2 * max(bases),
+    # so the table's threshold must clear them
+    model = CostModel()
+    table = model.mixed_table(bases)
+    assert table.threshold == max(2 * max(bases), 12)
+    for n in range(1, 3000):
+        assert mixed_mul_count(n, bases, model) == plan_mixed(n, bases, model).muls, n
+    rng = random.Random(sum(bases))
+    for bits in (40, 100, 200):
+        for _ in range(8):
+            n = rng.randint(1, 2**bits)
+            assert mixed_mul_count(n, bases, model) == plan_mixed(n, bases, model).muls, n
+
+
 def test_mixed_trace_monotone_and_consistent():
     for n in (97, 500, 2310, 4096):
         rep = plan_mixed(n)
