@@ -113,16 +113,15 @@ def _as_square(a) -> np.ndarray:
 
 
 def spectral_radius_estimate(
-    b, max_iters: int = 200, tol: float = 1e-9, *, _checked: bool = False
+    b, max_iters: int = 200, tol: float = 1e-9
 ) -> SpectralRadiusEstimate:
     """Power iteration from the normalized all-ones vector.
 
     Deterministic; reliable for the symmetric matrices this package
     generates.  Non-convergence within max_iters returns the best
-    estimate with ``converged=False`` rather than raising.  ``_checked``
-    is for callers that already hold a finite square float array.
+    estimate with ``converged=False`` rather than raising.
     """
-    m = b if _checked else _as_square(b)
+    m = _as_square(b)
     n = m.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     est = 0.0
@@ -138,12 +137,10 @@ def spectral_radius_estimate(
     return SpectralRadiusEstimate(est, False, max_iters)
 
 
-def residual(a, a_hat, *, _checked: bool = False) -> float:
-    """Frobenius norm of I - A * A_hat, with one n x n temporary.
-
-    ``_checked`` is for callers that already hold finite square float arrays.
-    """
-    m, h = (a, a_hat) if _checked else (_as_square(a), _as_square(a_hat))
+def residual(a, a_hat) -> float:
+    """Frobenius norm of I - A * A_hat, with one n x n temporary."""
+    m = _as_square(a)
+    h = _as_square(a_hat)
     if m.shape != h.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {h.shape}")
     r = m @ h
@@ -299,8 +296,7 @@ def neumann_invert(
         )
     n = m.shape[0]
     b = _identity_minus(m)
-    # B = I - A is finite because A is, so only A and the result are scanned
-    rho = spectral_radius_estimate(b, radius_max_iters, radius_tol, _checked=True)
+    rho = spectral_radius_estimate(b, radius_max_iters, radius_tol)
     if rho.value >= 1.0 and not allow_divergent:
         raise ConvergenceError(
             f"estimated spectral radius of I - A is {rho.value:.6g} >= 1; "
@@ -314,7 +310,10 @@ def neumann_invert(
             f"executed {products} matrix multiplications, plan declared "
             f"{plan.declared_muls}"
         )
-    res = residual(m, a_hat, _checked=True) if np.isfinite(a_hat).all() else math.inf
+    try:
+        res = residual(m, a_hat)
+    except ValueError:  # a non-finite result; the shapes match by construction
+        res = math.inf
     if not res < math.sqrt(n) and not allow_divergent:
         raise ConvergenceError(
             f"residual ||I - A X||_F = {res:.6g} is not below sqrt(n) = "

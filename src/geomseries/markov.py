@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,21 +46,17 @@ class ResidueChain:
 
     ``rows[j]`` lists (target, probability) pairs; ``policy[j]`` is the
     (base, per-level multiplications) the planner's rule picks in
-    residue class j.  The hash walks every Fraction, so it is computed once.
+    residue class j.  The hash leaves out the rows, whose Fractions are
+    costly to hash; equal chains still hash equal.
     """
 
     bases: tuple[int, ...]
     modulus: int
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     policy: tuple[tuple[int, int], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        fields = (self.bases, self.modulus, self.rows, self.policy)
-        object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.bases, self.modulus, self.policy))
 
     def dense(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.modulus for _ in range(self.modulus)]

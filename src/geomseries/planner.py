@@ -765,7 +765,6 @@ __all__ = [
     "plan_mixed",
     "plan_prime_power",
     "plan_recurrence",
-    "MixedTable",
     "mixed_mul_count",
     "mixed_asymptotic_coefficient",
     "predicted_cost",

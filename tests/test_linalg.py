@@ -78,15 +78,6 @@ def test_public_checks_reject_bad_matrices(bad):
         residual(np.eye(2), bad)
 
 
-def test_invert_scans_the_input_once(monkeypatch):
-    scanned = []
-    as_square = linalg._as_square
-    monkeypatch.setattr(linalg, "_as_square", lambda a: scanned.append(a) or as_square(a))
-    a = random_test_matrix(8, seed=1)
-    neumann_invert(a, 9)
-    assert len(scanned) == 1 and scanned[0] is a
-
-
 def test_residual_decreases_with_more_terms():
     a = random_test_matrix(40, seed=8)
     values = []
