@@ -11,7 +11,6 @@ from .chains import (
     ChainEntry,
     binary_chain,
     chain_for_small,
-    next_power_extension,
     recurrence_chain,
 )
 from .linalg import (
@@ -28,7 +27,6 @@ from .planner import (
     CostModel,
     PlanReport,
     Strategy,
-    compose,
     plan,
     plan_auto,
     plan_mixed,
@@ -54,7 +52,6 @@ __all__ = [
     "ChainEntry",
     "binary_chain",
     "chain_for_small",
-    "next_power_extension",
     "recurrence_chain",
     "ConvergenceError",
     "NeumannReport",
@@ -67,7 +64,6 @@ __all__ = [
     "CostModel",
     "PlanReport",
     "Strategy",
-    "compose",
     "plan",
     "plan_auto",
     "plan_mixed",

@@ -21,19 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import json
 
-from .slp import (
-    ADD,
-    INPUT,
-    MUL,
-    ONE,
-    SUB,
-    Instr,
-    ProgramBuilder,
-    SlpProgram,
-    from_json,
-    mul_count,
-    to_json,
-)
+from .slp import ProgramBuilder, SlpProgram, from_json, mul_count, to_json
 
 TABLE1 = "TABLE1"
 TABLE1_CORRECTED = "TABLE1_CORRECTED"
@@ -41,7 +29,6 @@ BINARY_RULE = "BINARY_RULE"
 RECURRENCE = "RECURRENCE"
 
 SMALL_SIZES = (2, 3, 5, 7, 11)
-SMALL_MULS = {2: 0, 3: 1, 5: 2, 7: 3, 11: 4}
 
 MAX_RECURRENCE_LEVEL = 6
 # y(0) = 1, y(n) = y(n-1)^2 + 1
@@ -76,13 +63,10 @@ class ChainPieces:
 
     ``powers`` maps exponent e -> register holding (local input)^e for
     the powers the chain computed along the way; planners reuse them.
-    ``shifted_product`` is the register holding x * f(size, x) when the
-    construction produced it, which makes the next power of x free.
     """
 
     value: int
     powers: dict[int, int] = field(default_factory=dict)
-    shifted_product: int | None = None
 
 
 @dataclass(frozen=True)
@@ -93,8 +77,6 @@ class ChainEntry:
     program: SlpProgram
     muls: int
     provenance: str
-    powers: dict[int, int] = field(default_factory=dict, compare=False)
-    shifted_product: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.program.series_length != self.size:
@@ -192,36 +174,25 @@ def emit_recurrence(b: ProgramBuilder, x: int, level: int) -> ChainPieces:
     One level up from u = f(y(k), x): the register z1 = x * u makes
     x^y(k) = z1 - u + 1 free, the inner series is rebuilt on that power,
     and the results join as 1 + z1 * w.  Two extra multiplications per
-    level, so 2^n - 2 in total.
+    level, so 2^n - 2 in total.  The pieces carry no powers: planners
+    reduce by a recurrence size only with residue 0, which reads none.
     """
     if level < 1:
         raise ValueError("recurrence level must be >= 1 here")
     if level == 1:
         return _emit_f2(b, x)
-    prev_size = RECURRENCE_SIZES[level - 1]
     u = emit_recurrence(b, x, level - 1)
     z1 = b.mul(x, u.value)
     z = b.add(b.one(), z1)
-    v = b.sub(z, u.value)  # x^prev_size, no multiplication spent
+    v = b.sub(z, u.value)  # x^y(level - 1), no multiplication spent
     w = emit_recurrence(b, v, level - 1)
     t = b.mul(z1, w.value)
-    value = b.add(b.one(), t)
-    powers = dict(u.powers)
-    powers[prev_size] = v
-    powers.update({prev_size * e: r for e, r in w.powers.items()})
-    return ChainPieces(value, powers)
+    return ChainPieces(b.add(b.one(), t))
 
 
 def _finish_entry(size: int, pieces: ChainPieces, b: ProgramBuilder, provenance: str) -> ChainEntry:
     program = b.finish(pieces.value, size)
-    return ChainEntry(
-        size=size,
-        program=program,
-        muls=program.declared_muls,
-        provenance=provenance,
-        powers=dict(pieces.powers),
-        shifted_product=pieces.shifted_product,
-    )
+    return ChainEntry(size=size, program=program, muls=program.declared_muls, provenance=provenance)
 
 
 def chain_for_small(p: int) -> ChainEntry:
@@ -246,17 +217,6 @@ def binary_chain(n: int) -> ChainEntry:
     return _finish_entry(n, pieces, b, BINARY_RULE)
 
 
-def binary_rule_muls(n: int) -> int:
-    """Multiplication count of binary_chain(n) without building it."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    muls = 0
-    while n >= 4:
-        muls += 2
-        n //= 2
-    return muls + (1 if n == 3 else 0)
-
-
 def recurrence_chain(n: int | RecurrenceIndex) -> ChainEntry:
     """Chain for size y(n) with exactly 2^n - 2 multiplications, n <= 6.
 
@@ -273,40 +233,6 @@ def recurrence_chain(n: int | RecurrenceIndex) -> ChainEntry:
     else:
         pieces = emit_recurrence(b, b.input(), level)
     return _finish_entry(RECURRENCE_SIZES[level], pieces, b, RECURRENCE)
-
-
-def next_power_extension(entry: ChainEntry) -> SlpProgram:
-    """Append registers so the last one holds x^size.
-
-    Uses x^n = f(n, x) * (x - 1) + 1, one extra multiplication; when the
-    chain already holds the product x * f(n, x), the power comes out of a
-    subtraction instead and costs nothing.  The returned program's output
-    is unchanged (still the series value); the power sits in the final
-    register.
-    """
-    instrs = list(entry.program.instrs)
-    x_reg = next(i for i, ins in enumerate(instrs) if ins.op == INPUT)
-    one_reg = next((i for i, ins in enumerate(instrs) if ins.op == ONE), None)
-    if one_reg is None:
-        one_reg = len(instrs)
-        instrs.append(Instr(ONE))
-    out = entry.program.output
-    if entry.shifted_product is not None:
-        s = len(instrs)
-        instrs.append(Instr(SUB, entry.shifted_product, out))
-        instrs.append(Instr(ADD, s, one_reg))
-    else:
-        s = len(instrs)
-        instrs.append(Instr(SUB, x_reg, one_reg))
-        instrs.append(Instr(MUL, out, s))
-        instrs.append(Instr(ADD, s + 1, one_reg))
-    packed = tuple(instrs)
-    return SlpProgram(
-        packed,
-        out,
-        entry.size,
-        sum(1 for ins in packed if ins.op == MUL),
-    )
 
 
 def flawed_length11_chain() -> SlpProgram:
@@ -366,7 +292,6 @@ __all__ = [
     "BINARY_RULE",
     "RECURRENCE",
     "SMALL_SIZES",
-    "SMALL_MULS",
     "MAX_RECURRENCE_LEVEL",
     "RECURRENCE_SIZES",
     "RecurrenceIndex",
@@ -374,9 +299,7 @@ __all__ = [
     "ChainEntry",
     "chain_for_small",
     "binary_chain",
-    "binary_rule_muls",
     "recurrence_chain",
-    "next_power_extension",
     "emit_series_chain",
     "emit_binary_rule",
     "emit_recurrence",

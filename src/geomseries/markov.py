@@ -377,16 +377,17 @@ def _reconstruct(values, modulus: int, scale, states, size: int) -> tuple[list[i
 
 def _dixon_solve(
     chain: ResidueChain, states: list[int], scales: list[int]
-) -> tuple[list[Fraction], SolverFacts]:
+) -> tuple[list[int], int, SolverFacts]:
     """Exact stationary distribution, zero off ``states``, by p-adic lifting.
+
+    Returns the numerators over their common denominator, (nums, den).
 
     Denominators run to hundreds of bits already at modulus 210, so the
     solution is lifted digit by digit modulo one prime p < 2^20, factored
     once (_factor_mod).  A digit costs one blocked substitution, made of
     products with the diagonal block inverses, and one sparse residual.
     A common denominator is reconstructed each time p^k has grown by
-    _CHECKPOINT_GROWTH in bits; only an exact fixed point is returned, and
-    its Fractions are built only after the integer check has passed.  A
+    _CHECKPOINT_GROWTH in bits; only an exact fixed point is returned.  A
     prime that divides the determinant, or does not certify within
     _MAX_PADIC_DIGITS digits, gives way to the next one.
     """
@@ -418,8 +419,7 @@ def _dixon_solve(
             attempts += 1
             candidate = _reconstruct(value, power, scale, states, chain.modulus)
             if candidate is not None and _verify_fixed_point(chain, scales, *candidate):
-                nums, den = candidate
-                return [Fraction(v, den) for v in nums], SolverFacts(m, p, digits, attempts)
+                return (*candidate, SolverFacts(m, p, digits, attempts))
     raise ArithmeticError(f"stationary solve not certified with primes {list(_SOLVE_PRIMES)}")
 
 
@@ -443,22 +443,23 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     closed = _closed_classes(chain)
     if len(closed) != 1:
         raise ReducibleChainError(closed)
-    dist, facts = _dixon_solve(chain, list(closed[0]), scales)
-    base_probs: dict[int, Fraction] = {p: Fraction(0) for p in chain.bases}
-    mean_cost = Fraction(0)
+    nums, den, facts = _dixon_solve(chain, list(closed[0]), scales)
+    # sums over the common denominator stay in integers; v / den rounds
+    # correctly, as float(Fraction(v, den)) does
+    base_nums = dict.fromkeys(chain.bases, 0)
+    cost_num = 0
     mean_bits = 0.0
-    for j, pi in enumerate(dist):
-        if pi == 0:
-            continue
-        base, cost = chain.policy[j]
-        base_probs[base] += pi
-        mean_cost += pi * cost
-        mean_bits += float(pi) * math.log2(base)
+    for v, (base, cost) in zip(nums, chain.policy):
+        if v:
+            base_nums[base] += v
+            cost_num += v * cost
+            mean_bits += v / den * math.log2(base)
+    mean_cost = Fraction(cost_num, den)
     avg_base = 2.0 ** mean_bits
     coefficient = float(mean_cost) / mean_bits
     result = StationaryResult(
-        dist=tuple(dist),
-        base_probs=base_probs,
+        dist=tuple(Fraction(v, den) for v in nums),
+        base_probs={p: Fraction(v, den) for p, v in base_nums.items()},
         mean_cost=mean_cost,
         avg_base=avg_base,
         coefficient=coefficient,

@@ -12,6 +12,11 @@ step.  Terminal lengths with a built-in chain are emitted directly, which
 is where the constant -2 in all the closed-form counts comes from: the
 last level needs neither a next power nor a join.
 
+Every plan is composed in one way: the chain emitters of ``chains`` and
+the reduction levels here write onto one shared ProgramBuilder.  The
+multiplication counts the planners compare are read off scratch
+emissions of those same emitters, so no count is kept by hand.
+
 Strategies:
 
 * direct    - nested baseline, N - 2 multiplications;
@@ -21,8 +26,9 @@ Strategies:
 * mixed:... - per-step base chosen by normalized cost (muls per halving);
 * recurrence- N must be a power of a squared-plus-one size y(k);
 * auto      - cheapest of prime-power, recurrence, mixed and a memoized
-              dynamic program over factor splits (never worse than binary,
-              whose count is one of the DP leaves).
+              dynamic program over factor splits (never worse than the
+              length's built-in chain, one of the DP leaves, which is the
+              parity rule wherever no hand-tuned chain exists).
 """
 
 from __future__ import annotations
@@ -36,22 +42,10 @@ from .chains import (
     ChainPieces,
     RECURRENCE_SIZES,
     MAX_RECURRENCE_LEVEL,
-    SMALL_MULS,
-    binary_rule_muls,
-    emit_binary_rule,
     emit_recurrence,
     emit_series_chain,
 )
-from .slp import (
-    INPUT,
-    MUL,
-    ONE,
-    Instr,
-    ProgramBuilder,
-    ProgramError,
-    SlpProgram,
-    horner_program,
-)
+from .slp import MUL, ProgramBuilder, SlpProgram, horner_program
 
 DEFAULT_MIXED_BASES = (11, 7, 5, 3, 2)
 
@@ -118,11 +112,11 @@ class PlanReport:
     method: str
 
 
-def _series_chain_muls(size: int) -> int:
-    if size == 1:
-        return 0
-    got = SMALL_MULS.get(size)
-    return got if got is not None else binary_rule_muls(size)
+def _emitted_muls(emit: Callable[[ProgramBuilder, int], object]) -> int:
+    """Multiplications ``emit(b, x)`` spends, counted off a scratch builder."""
+    b = ProgramBuilder()
+    emit(b, b.input())
+    return sum(1 for ins in b.instrs if ins.op == MUL)
 
 
 def _materialize_power(b: ProgramBuilder, powers: dict[int, int], e: int) -> int:
@@ -206,9 +200,9 @@ class CostModel:
         key = (base, residue)
         got = self._cache.get(key)
         if got is None:
-            b = ProgramBuilder()
-            _emit_reduction_level(b, b.input(), base, residue, want_power=True)
-            got = sum(1 for ins in b.instrs if ins.op == MUL) + 1
+            got = 1 + _emitted_muls(
+                lambda b, x: _emit_reduction_level(b, x, base, residue, want_power=True)
+            )
             self._cache[key] = got
         return got
 
@@ -502,9 +496,13 @@ def _prime_power_form(n: int) -> tuple[int, int] | None:
 class AutoPlanner:
     """Cheapest-of-all-strategies planner with a shared factor-split memo.
 
-    The memo is only read and extended with idempotent values, so
-    concurrent use returns identical results; use one instance per sweep
-    for speed, or the module-level helper for one-off calls.
+    The dynamic program's leaves are the length's built-in chain (the
+    parity rule wherever no hand-tuned chain exists, so the planner is
+    never worse than it) and the recurrence chain of that size; each
+    leaf is counted once, off a scratch emission.  The memo is only read
+    and extended with idempotent values, so concurrent use returns
+    identical results; use one instance per sweep for speed, or the
+    module-level helper for one-off calls.
     """
 
     def __init__(self, model: CostModel | None = None) -> None:
@@ -517,19 +515,17 @@ class AutoPlanner:
         got = self._dp.get(n)
         if got is not None:
             return got
-        candidates: list[tuple[int, int, tuple]] = []
-        if n in TERMINAL_SIZES:
-            candidates.append((_series_chain_muls(n), 0, ("chain", n)))
-        if n >= 2:
-            candidates.append((binary_rule_muls(n), 1, ("binary",)))
+        chain = _emitted_muls(lambda b, x: emit_series_chain(b, x, n))
+        candidates: list[tuple[int, int, tuple]] = [(chain, 0, ("chain",))]
         for level in range(1, MAX_RECURRENCE_LEVEL + 1):
             if RECURRENCE_SIZES[level] == n:
-                candidates.append(((1 << level) - 2, 2, ("recurrence", level)))
+                muls = _emitted_muls(lambda b, x: emit_recurrence(b, x, level))
+                candidates.append((muls, 1, ("recurrence", level)))
         for k in range(2, math.isqrt(n) + 1):
             if n % k == 0:
                 left, _ = self._dp_best(k)
                 right, _ = self._dp_best(n // k)
-                candidates.append((left + right + 2, 3, ("split", k)))
+                candidates.append((left + right + 2, 2, ("split", k)))
         muls, _, decision = min(candidates, key=lambda c: (c[0], c[1], c[2]))
         best = (muls, decision)
         self._dp[n] = best
@@ -539,8 +535,6 @@ class AutoPlanner:
         _, decision = self._dp_best(n)
         if decision[0] == "chain":
             return emit_series_chain(b, x, n).value
-        if decision[0] == "binary":
-            return emit_binary_rule(b, x, n).value
         if decision[0] == "recurrence":
             return emit_recurrence(b, x, decision[1]).value
         k = decision[1]
@@ -570,7 +564,7 @@ class AutoPlanner:
         pp = _prime_power_form(n)
         if pp is not None:
             p, e = pp
-            candidates.append(((SMALL_MULS[p] + 2) * e - 2, 0, "prime_power"))
+            candidates.append((self.model.cost(p, 0) * e - 2, 0, "prime_power"))
         rec_options = _recurrence_power_options(n)
         if rec_options:
             candidates.append((min(rec_options)[0], 1, "recurrence"))
@@ -696,7 +690,7 @@ def predicted_cost(strategy: Strategy | str, n: int) -> float:
     if strategy.kind == "ternary":
         return 3.0 * ln / math.log2(3) - 2.0
     if strategy.kind == "prime_power":
-        per_level = _series_chain_muls(strategy.base) + 2
+        per_level = default_cost_model().cost(strategy.base, 0)
         return per_level * ln / math.log2(strategy.base) - 2.0
     if strategy.kind == "recurrence":
         options = _recurrence_power_options(n)
@@ -707,48 +701,6 @@ def predicted_cost(strategy: Strategy | str, n: int) -> float:
     if strategy.kind == "mixed":
         return mixed_asymptotic_coefficient(strategy.bases) * ln - 2.0
     raise ValueError(f"no closed-form cost for strategy {strategy.kind!r}")
-
-
-def compose(left: SlpProgram, right: SlpProgram, power_of_x_k: int) -> SlpProgram:
-    """Product plan: f(K, x) * f(J, x^K) evaluates the length-K*J series.
-
-    ``power_of_x_k`` names the register of ``left`` holding x^K (see
-    chains.next_power_extension, which leaves it in the final register).
-    Adds exactly one multiplication beyond the operands and the power
-    computation; identity factors (K = 1 or J = 1) add none.
-    """
-    k, j = left.series_length, right.series_length
-    if not (0 <= power_of_x_k < len(left.instrs)):
-        raise ProgramError(f"power register {power_of_x_k} not in the left program")
-    instrs = list(left.instrs)
-    one_reg = next((i for i, ins in enumerate(instrs) if ins.op == ONE), None)
-    remap: dict[int, int] = {}
-    for i, ins in enumerate(right.instrs):
-        if ins.op == INPUT:
-            remap[i] = power_of_x_k
-        elif ins.op == ONE and one_reg is not None:
-            remap[i] = one_reg
-        else:
-            remap[i] = len(instrs)
-            if ins.a is None:
-                instrs.append(ins)
-            else:
-                instrs.append(Instr(ins.op, remap[ins.a], remap[ins.b]))
-    right_out = remap[right.output]
-    if k == 1:
-        output = right_out
-    elif j == 1:
-        output = left.output
-    else:
-        output = len(instrs)
-        instrs.append(Instr(MUL, left.output, right_out))
-    packed = tuple(instrs)
-    return SlpProgram(
-        packed,
-        output,
-        k * j,
-        sum(1 for ins in packed if ins.op == MUL),
-    )
 
 
 __all__ = [
@@ -768,7 +720,6 @@ __all__ = [
     "mixed_mul_count",
     "mixed_asymptotic_coefficient",
     "predicted_cost",
-    "compose",
     "AutoPlanner",
     "DEFAULT_MIXED_BASES",
     "TERMINAL_SIZES",

@@ -120,7 +120,7 @@ def validate(program: SlpProgram) -> None:
 
 
 class ProgramBuilder:
-    """Accumulates instructions; emitters share one builder and compose freely.
+    """Accumulates instructions; emitters share one builder and combine freely.
 
     The INPUT register is created eagerly so every finished program has
     exactly one, even when the series value does not depend on x (N = 1).

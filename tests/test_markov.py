@@ -166,6 +166,26 @@ def test_stationary_distribution_is_pinned(bases, modulus):
     assert digest == PINNED_DISTRIBUTIONS[(bases, modulus)]
 
 
+# sha256 of the lines str(base_probs), str(mean_cost), repr(coefficient) and
+# repr(avg_base), first computed by summing the distribution's Fractions.
+PINNED_SUMMARIES = {
+    (3, 2): "ed55186cbe067be8320133b95bc32871a594a9319f06a6c08963ce9eddec4f1c",
+    (5, 3, 2): "27ed680bb244f2baecce8a2f95a3642d07fd5e91ac8dd0c6aee8d548546d74a3",
+    (7, 5, 3, 2): "60d2d4836fff9eb8e302bc4ad18bf78ef454e3113559651622e70c80f2da860a",
+    (11, 7, 5, 2): "8a36ae52ca40a9c8e9a343d478703057caa8f813c78ede111b23dfe05bee8d5d",
+    (11, 7, 5, 3, 2): "c42dc1e70c7702f9c9b15ce7605579f8424c69df8d4899a23ace9acdb5415251",
+}
+
+
+@pytest.mark.parametrize("bases", list(PINNED_SUMMARIES))
+def test_stationary_summary_is_pinned(bases):
+    res = stationary(build_chain(bases))
+    text = "\n".join(
+        (str(res.base_probs), str(res.mean_cost), repr(res.coefficient), repr(res.avg_base))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SUMMARIES[bases]
+
+
 def test_chunked_inner_dimension_keeps_the_distribution(monkeypatch):
     # a small bound forces the paths that chains above 8192 states take:
     # trailing reductions after every panel and chunked substitution products

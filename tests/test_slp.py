@@ -176,9 +176,10 @@ def test_mul_count_examples():
 
 
 def test_polynomial_of_register_reads_intermediates():
-    entry = chains.chain_for_small(5)
-    square_reg = entry.powers[2]
-    assert polynomial_of_register(entry.program, square_reg) == DensePoly((0, 0, 1))
+    b = ProgramBuilder()
+    pieces = chains.emit_series_chain(b, b.input(), 5)
+    program = b.finish(pieces.value, 5)
+    assert polynomial_of_register(program, pieces.powers[2]) == DensePoly((0, 0, 1))
 
 
 # -- baseline -----------------------------------------------------------------
