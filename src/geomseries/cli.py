@@ -26,7 +26,7 @@ from .planner import (
     plan as build_plan,
     predicted_cost,
 )
-from .slp import add_count, passes_oracle, to_json
+from .slp import add_count, oracle_facts, passes_oracle, to_json
 
 DEFAULT_VERIFY_STRATEGIES = ("auto", "binary", "ternary", "mixed:11,7,5,3,2")
 
@@ -102,6 +102,7 @@ def cmd_verify(args) -> int:
     failures: list[dict] = []
     rows: list[dict] = []
     checked = 0
+    max_bits = decodes = 0
     for n in range(args.min, args.max + 1):
         for strat in strategies:
             if strat.kind == "auto":
@@ -112,7 +113,9 @@ def cmd_verify(args) -> int:
                 except ValueError:
                     continue  # strategy not applicable at this length
             checked += 1
-            ok = passes_oracle(rep.program)
+            ok, bits, scans = oracle_facts(rep.program)
+            max_bits = max(max_bits, bits)
+            decodes += scans
             if not ok:
                 failures.append(
                     {
@@ -150,6 +153,7 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "fixtures": fixture_rows,
         "ok": ok_overall,
+        "oracle": {"max_bits": max_bits, "decodes": decodes},
     }
     if args.counts:
         doc["counts"] = rows

@@ -11,25 +11,28 @@ Running it over the polynomial ring with x = the indeterminate is the
 correctness oracle: a valid plan must produce the all-ones coefficient
 vector of its declared length.
 
-The oracle is exact.  Internally it packs integer coefficient vectors
-into pairs of big integers (positive and negative coefficient parts
-become base-2^b digits), so ring operations map to native int
-arithmetic.  Packing is a ring homomorphism at any width; what needs
-care is reading digits back.  The evaluator keeps each register's
-digits "clean" (equal to the true coefficients) by checking, before
-every operation, an exact bound computed from the operands' actual
-maximum digit and nonzero count, and restarting at a wider digit when
-an operation could carry across digit boundaries.  A register's true
-statistics are rescanned after each operation, so bounds never
-compound; plans whose coefficients overflow even the widest fast digit
-fall back to widths derived from conservative structural bounds.
+The oracle is exact.  It evaluates the program over the integers at
+x = 2^w (Kronecker substitution): each register holds one signed int
+P(2^w), so ring operations map to native int arithmetic, and packing is
+a ring homomorphism at any width.  What needs care is reading P back.
+Beside each value the oracle carries a rigorous bound on the register's
+largest coefficient and its nonzero count, combined by simple rules per
+instruction; only when a bound would reach 2^(w-2) does it scan that
+value's digits for the exact statistics, and if those still reach the
+limit it restarts at a wider digit (16, 32, then 64 bits, then a width
+taken from the bound rules alone).  Every output coefficient is then
+below 2^(w-2) in magnitude, so its balanced digits are the
+coefficients, and comparing P(2^w) with the packed all-ones vector is a
+proof of equality.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from numbers import Number
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +50,7 @@ class ProgramError(ValueError):
     """A structurally invalid straight-line program."""
 
 
-@dataclass(frozen=True)
-class Instr:
+class Instr(NamedTuple):
     """One instruction: a leaf (ONE/INPUT) or a binary op on earlier registers."""
 
     op: str
@@ -321,188 +323,144 @@ class DensePoly:
 _FAST_DIGIT_DTYPES = {16: "<u2", 32: "<u4", 64: "<u8"}
 _MAX_ORACLE_LENGTH = 1 << 24
 _MAX_FALLBACK_BITS = 1 << 16
+_TOO_LARGE = "coefficient bound too large for exact verification of this program"
 
 
 class _DigitOverflow(Exception):
-    pass
+    """Raised with the walk's digit-scan count when a width is too narrow."""
+
+
+class OracleFacts(NamedTuple):
+    """How the exact oracle checked one program.
+
+    ``bits`` is the digit width of the walk that succeeded; ``decodes``
+    counts the exact digit scans over every width tried.
+    """
+
+    passes: bool
+    bits: int
+    decodes: int
 
 
 def _length_bounds(program: SlpProgram) -> list[int]:
     """Structural degree-plus-one bound per register (always >= the truth)."""
     out: list[int] = []
-    for ins in program.instrs:
-        if ins.op == ONE:
-            out.append(1)
-        elif ins.op == INPUT:
-            out.append(2)
-        elif ins.op == MUL:
-            out.append(out[ins.a] + out[ins.b] - 1)
+    for op, a, b in program.instrs:
+        if op == MUL:
+            out.append(out[a] + out[b] - 1)
+        elif op == ADD or op == SUB:
+            out.append(out[a] if out[a] > out[b] else out[b])
         else:
-            out.append(max(out[ins.a], out[ins.b]))
+            out.append(2 if op == INPUT else 1)
     return out
 
 
-def _digit_stats(v: int, length: int, bits: int) -> tuple[int, int]:
-    """Exact (max digit, nonzero digits) of a clean packed integer."""
-    if v == 0:
-        return 0, 0
-    raw = v.to_bytes(length * (bits // 8), "little")
-    arr = np.frombuffer(raw, dtype=_FAST_DIGIT_DTYPES[bits])
-    return int(arr.max()), int(np.count_nonzero(arr))
+def _repeated(digit: int, length: int, bits: int) -> int:
+    """The packed value whose ``length`` digits all equal ``digit``."""
+    return int.from_bytes(digit.to_bytes(bits // 8, "little") * length, "little")
 
 
-def _cancelled(
-    pos: int, neg: int, length: int, bits: int
-) -> tuple[int, int, int, int, int, int]:
-    """Canonical (pos, neg, stats...) with no digit present in both parts.
+def _offset_bytes(v: int, length: int, bits: int) -> bytes:
+    """Digits of v + half + half * 2^bits + ...: each is coefficient + half."""
+    half = 1 << (bits - 1)
+    return (v + _repeated(half, length, bits)).to_bytes(length * (bits // 8), "little")
 
-    Subtractions leave mass in both parts even when the true value is a
-    plain monomial (the next-power rewrite is the extreme case); without
-    cancelling, part magnitudes compound under multiplication while the
-    true coefficients stay tiny.
+
+def _stats(v: int, length: int, bits: int) -> tuple[int, int]:
+    """Exact (max |coefficient|, nonzero count) of a value with clean digits."""
+    d = np.frombuffer(_offset_bytes(v, length, bits), dtype=_FAST_DIGIT_DTYPES[bits])
+    half = 1 << (bits - 1)
+    top = max(int(d.max()) - half, half - int(d.min()))
+    return top, int(np.count_nonzero(d != d.dtype.type(half)))
+
+
+def _coefficients(v: int, length: int, bits: int) -> list[int]:
+    """Balanced digits of a value whose coefficients are below 2^(bits-1)."""
+    raw = _offset_bytes(v, length, bits)
+    half = 1 << (bits - 1)
+    nb = bits // 8
+    return [
+        int.from_bytes(raw[i * nb : (i + 1) * nb], "little") - half
+        for i in range(length)
+    ]
+
+
+def _walk(
+    program: SlpProgram, lengths: list[int], bits: int | None, limit: float
+) -> tuple[int, int, int]:
+    """Evaluate at x = 2^bits, one signed integer P(2^bits) per register.
+
+    Each register also carries a rigorous bound m >= max |coefficient|
+    and z >= nonzero count.  ADD and SUB add the bounds; MUL takes
+    min(za, zb) * ma * mb and za * zb; z never exceeds the register's
+    length bound.  At the fast widths ``limit`` is 2^(bits-2), and a
+    bound that would reach it is replaced by the exact statistics from
+    one digit scan: a MUL scans its operands, an ADD or SUB its result
+    (whose coefficients are below 2 * limit, so its digits are clean).
+    If the exact bound still reaches ``limit`` the walk raises
+    _DigitOverflow and the caller retries at a wider digit.
+
+    ``bits=None`` runs the bound rules alone and raises ProgramError
+    when a bound reaches ``limit``.  Returns (output value, output
+    bound, digit scans).
     """
-    if pos == 0 or neg == 0:
-        mp, zp = _digit_stats(pos, length, bits)
-        mn, zn = _digit_stats(neg, length, bits)
-        return pos, neg, mp, zp, mn, zn
-    dtype = _FAST_DIGIT_DTYPES[bits]
-    total = length * (bits // 8)
-    p = np.frombuffer(pos.to_bytes(total, "little"), dtype=dtype).astype(np.int64)
-    n = np.frombuffer(neg.to_bytes(total, "little"), dtype=dtype).astype(np.int64)
-    c = p - n
-    cp = np.maximum(c, 0)
-    cn = np.maximum(-c, 0)
-    pos = int.from_bytes(cp.astype(dtype).tobytes(), "little")
-    neg = int.from_bytes(cn.astype(dtype).tobytes(), "little")
-    return (
-        pos,
-        neg,
-        int(cp.max()),
-        int(np.count_nonzero(cp)),
-        int(cn.max()),
-        int(np.count_nonzero(cn)),
-    )
-
-
-def _fast_parts(program: SlpProgram, lengths: list[int], bits: int) -> tuple[int, int]:
-    """Packed evaluation keeping every register's digits clean at this width.
-
-    Each register carries canonical parts (no digit in both) plus their
-    exact maximum digit and nonzero count, so overflow checks use true
-    coefficient statistics rather than compounding bounds.  An operation
-    that might carry across digit boundaries raises _DigitOverflow and
-    the caller retries with a wider digit.
-    """
-    limit = 1 << (bits - 2)  # headroom so int64 views of digits stay safe
-    x_enc = 1 << bits
-    # register entry: pos, neg, max_pos, nnz_pos, max_neg, nnz_neg
-    regs: list[tuple[int, int, int, int, int, int]] = [(0, 0, 0, 0, 0, 0)] * len(
-        program.instrs
-    )
-    for i, ins in enumerate(program.instrs):
-        if ins.op == ONE:
-            regs[i] = (1, 0, 1, 1, 0, 0)
+    instrs = program.instrs
+    vals = [0] * len(instrs) if bits else None
+    ms = [1] * len(instrs)
+    zs = [1] * len(instrs)
+    scanned = [False] * len(instrs)
+    decodes = 0
+    for i, (op, a, b) in enumerate(instrs):
+        if op == MUL:
+            za, zb = zs[a], zs[b]
+            m = (za if za < zb else zb) * ms[a] * ms[b]
+            if m >= limit:
+                if vals is None:
+                    raise ProgramError(_TOO_LARGE)
+                for r in (a,) if a == b else (a, b):
+                    if not scanned[r]:
+                        ms[r], zs[r] = _stats(vals[r], lengths[r], bits)
+                        scanned[r] = True
+                        decodes += 1
+                za, zb = zs[a], zs[b]
+                m = (za if za < zb else zb) * ms[a] * ms[b]
+                if m >= limit:
+                    raise _DigitOverflow(decodes)
+            z = za * zb
+            if vals is not None:
+                vals[i] = vals[a] * vals[b]
+        elif op == ADD or op == SUB:
+            m = ms[a] + ms[b]
+            z = zs[a] + zs[b]
+            if vals is not None:
+                vals[i] = vals[a] + vals[b] if op == ADD else vals[a] - vals[b]
+            if m >= limit:
+                if vals is None:
+                    raise ProgramError(_TOO_LARGE)
+                m, z = _stats(vals[i], lengths[i], bits)
+                scanned[i] = True
+                decodes += 1
+                if m >= limit:
+                    raise _DigitOverflow(decodes)
+        else:
+            if vals is not None:
+                vals[i] = 1 << bits if op == INPUT else 1
             continue
-        if ins.op == INPUT:
-            regs[i] = (x_enc, 0, 1, 1, 0, 0)
-            continue
-        pa, na, mpa, zpa, mna, zna = regs[ins.a]
-        pb, nb, mpb, zpb, mnb, znb = regs[ins.b]
-        if ins.op == ADD:
-            if mpa + mpb >= limit or mna + mnb >= limit:
-                raise _DigitOverflow
-            pos, neg = pa + pb, na + nb
-        elif ins.op == SUB:
-            if mpa + mnb >= limit or mna + mpb >= limit:
-                raise _DigitOverflow
-            pos, neg = pa + nb, na + pb
-        else:
-            bound_pos = min(zpa, zpb) * mpa * mpb + min(zna, znb) * mna * mnb
-            bound_neg = min(zpa, znb) * mpa * mnb + min(zna, zpb) * mna * mpb
-            if bound_pos >= limit or bound_neg >= limit:
-                raise _DigitOverflow
-            pos = neg = 0
-            if pa and pb:
-                pos = pa * pb
-            if na and nb:
-                pos += na * nb
-            if pa and nb:
-                neg = pa * nb
-            if na and pb:
-                neg += na * pb
-        regs[i] = _cancelled(pos, neg, lengths[i], bits)
-    entry = regs[program.output]
-    return entry[0], entry[1]
+        ms[i] = m
+        zs[i] = z if z < lengths[i] else lengths[i]
+    out = program.output
+    return (0 if vals is None else vals[out]), ms[out], decodes
 
 
-def _wide_parts(program: SlpProgram, lengths: list[int]) -> tuple[int, int, int]:
-    """Fallback with the digit width taken from compositional norm bounds.
+def _oracle(program: SlpProgram) -> tuple[int, int, int, int]:
+    """(P(2^bits), bits, output length bound, digit scans) of the output.
 
-    The bounds (L1 and Linf per sign part) never underestimate but can
-    be loose, so this path is reserved for programs whose true
-    coefficients genuinely overflow the fast widths.
-    """
-    profiles: list[tuple[int, int, int, int]] = []
-    for ins in program.instrs:
-        if ins.op in (ONE, INPUT):
-            profiles.append((1, 1, 0, 0))
-        else:
-            s1a, ma, t1a, na = profiles[ins.a]
-            s1b, mb, t1b, nb = profiles[ins.b]
-            if ins.op == ADD:
-                profiles.append((s1a + s1b, ma + mb, t1a + t1b, na + nb))
-            elif ins.op == SUB:
-                profiles.append((s1a + t1b, ma + nb, t1a + s1b, na + mb))
-            else:
-                profiles.append(
-                    (
-                        s1a * s1b + t1a * t1b,
-                        min(s1a * mb, ma * s1b) + min(t1a * nb, na * t1b),
-                        s1a * t1b + t1a * s1b,
-                        min(s1a * nb, ma * t1b) + min(t1a * mb, na * s1b),
-                    )
-                )
-    _, pos_inf, _, neg_inf = profiles[program.output]
-    bits = ((max(pos_inf, neg_inf).bit_length() + 2 + 7) // 8) * 8
-    if bits > _MAX_FALLBACK_BITS:
-        raise ProgramError(
-            "coefficient bound too large for exact verification of this program"
-        )
-    x_enc = 1 << bits
-    regs: list[tuple[int, int]] = [(0, 0)] * len(program.instrs)
-    for i, ins in enumerate(program.instrs):
-        if ins.op == ONE:
-            regs[i] = (1, 0)
-        elif ins.op == INPUT:
-            regs[i] = (x_enc, 0)
-        else:
-            pa, na = regs[ins.a]
-            pb, nb = regs[ins.b]
-            if ins.op == ADD:
-                regs[i] = (pa + pb, na + nb)
-            elif ins.op == SUB:
-                regs[i] = (pa + nb, na + pb)
-            else:
-                pos = neg = 0
-                if pa and pb:
-                    pos = pa * pb
-                if na and nb:
-                    pos += na * nb
-                if pa and nb:
-                    neg = pa * nb
-                if na and pb:
-                    neg += na * pb
-                regs[i] = (pos, neg)
-    pos, neg = regs[program.output]
-    return pos, neg, bits
-
-
-def _packed_parts(program: SlpProgram) -> tuple[int, int, int, int]:
-    """(pos, neg, digit_bits, output_length_bound) with clean output digits.
-
-    The output polynomial is pos - neg; digits of both parts equal the
-    true part coefficients, so decoding and encoded comparisons are
-    sound.
+    Every output coefficient is below 2^(bits-2) in magnitude, so the
+    value determines the polynomial.  The fast widths are tried in turn.
+    Past them the width comes from the output's structural bound (the
+    walk's rules run without values); no register the output depends on
+    can exceed that bound, so the walk at that width needs no scans and
+    only its output is read.
     """
     lengths = _length_bounds(program)
     out_length = lengths[program.output]
@@ -511,27 +469,17 @@ def _packed_parts(program: SlpProgram) -> tuple[int, int, int, int]:
             f"output length bound {out_length} exceeds the exact-oracle limit "
             f"{_MAX_ORACLE_LENGTH}; use evaluate_mod spot checks instead"
         )
+    decodes = 0
     for bits in _FAST_DIGIT_DTYPES:
         try:
-            pos, neg = _fast_parts(program, lengths, bits)
-            return pos, neg, bits, out_length
-        except _DigitOverflow:
-            continue
-    pos, neg, bits = _wide_parts(program, lengths)
-    return pos, neg, bits, out_length
-
-
-def _decode_packed(pos: int, neg: int, bits: int, length: int) -> DensePoly:
-    nb = bits // 8
-    total = length * nb
-    pbuf = pos.to_bytes(total, "little")
-    nbuf = neg.to_bytes(total, "little")
-    coeffs = [
-        int.from_bytes(pbuf[i * nb : (i + 1) * nb], "little")
-        - int.from_bytes(nbuf[i * nb : (i + 1) * nb], "little")
-        for i in range(length)
-    ]
-    return DensePoly(coeffs)
+            value, _, scans = _walk(program, lengths, bits, 1 << (bits - 2))
+            return value, bits, out_length, decodes + scans
+        except _DigitOverflow as exc:
+            decodes += exc.args[0]
+    _, bound, _ = _walk(program, lengths, None, 1 << (_MAX_FALLBACK_BITS - 2))
+    bits = (bound.bit_length() + 2 + 7) // 8 * 8
+    value, _, _ = _walk(program, lengths, bits, math.inf)
+    return value, bits, out_length, decodes
 
 
 def eval_poly_oracle(program: SlpProgram) -> DensePoly:
@@ -541,8 +489,8 @@ def eval_poly_oracle(program: SlpProgram) -> DensePoly:
     ``series_length``.  Equivalent to ``evaluate(program, DensePoly.x())``
     but packs coefficients into big integers so large plans stay cheap.
     """
-    pos, neg, bits, length = _packed_parts(program)
-    return _decode_packed(pos, neg, bits, length)
+    value, bits, length, _ = _oracle(program)
+    return DensePoly(_coefficients(value, length, bits))
 
 
 def polynomial_of_register(program: SlpProgram, register: int) -> DensePoly:
@@ -550,17 +498,23 @@ def polynomial_of_register(program: SlpProgram, register: int) -> DensePoly:
     return eval_poly_oracle(replace(program, output=register))
 
 
-def passes_oracle(program: SlpProgram) -> bool:
-    """True iff the symbolic result is exactly all-ones of the declared length.
+def oracle_facts(program: SlpProgram) -> OracleFacts:
+    """The oracle's verdict together with the digit width and scans it took.
 
-    Compares packed encodings without decoding; clean digits make the
-    comparison equivalent to
+    Compares the packed output with the packed all-ones vector without
+    decoding.  Their difference has coefficients below 2^(bits-1) in
+    magnitude, and such a polynomial vanishes at 2^bits only if it is
+    zero, so the comparison is equivalent to
     ``eval_poly_oracle(program) == DensePoly.all_ones(series_length)``.
     """
-    pos, neg, bits, _ = _packed_parts(program)
-    n = program.series_length
-    ones = ((1 << (bits * n)) - 1) // ((1 << bits) - 1)
-    return pos - neg == ones
+    value, bits, _, decodes = _oracle(program)
+    ones = _repeated(1, program.series_length, bits)
+    return OracleFacts(value == ones, bits, decodes)
+
+
+def passes_oracle(program: SlpProgram) -> bool:
+    """True iff the symbolic result is exactly all-ones of the declared length."""
+    return oracle_facts(program).passes
 
 
 def horner_reference(n: int, x, one=None):
@@ -697,6 +651,8 @@ __all__ = [
     "eval_poly_oracle",
     "polynomial_of_register",
     "passes_oracle",
+    "oracle_facts",
+    "OracleFacts",
     "mul_count",
     "add_count",
     "validate",

@@ -64,6 +64,15 @@ def test_verify_json_report(tmp_path, capsys):
     assert auto26[0]["muls"] == 6
 
 
+def test_verify_json_reports_oracle_width_and_scans(capsys):
+    code, out = run(capsys, "verify", "--min", "1", "--max", "64", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle"]["max_bits"] == 16
+    assert doc["oracle"]["decodes"] > 0
+    assert set(doc) == {"checked", "range", "strategies", "failures", "fixtures", "ok", "oracle"}
+
+
 def test_verify_applies_strategy_filter(capsys):
     code, out = run(
         capsys, "verify", "--min", "25", "--max", "26", "--strategy", "auto",

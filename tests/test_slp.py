@@ -1,11 +1,14 @@
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import brute_series, poly_add, poly_mul
 from geomseries import chains, slp
+from geomseries.chains import emit_binary_rule
 from geomseries.planner import plan
 from geomseries.slp import (
     ADD,
@@ -25,6 +28,7 @@ from geomseries.slp import (
     horner_program,
     horner_reference,
     mul_count,
+    oracle_facts,
     passes_oracle,
     polynomial_of_register,
     to_json,
@@ -167,6 +171,110 @@ def test_oracle_handles_large_and_negative_coefficients():
     assert square_poly == evaluate(
         plan(50, "binary").program, DensePoly.x(), one=DensePoly.one()
     ) * evaluate(plan(50, "binary").program, DensePoly.x(), one=DensePoly.one())
+
+
+def _squared(times: int):
+    """Builder holding (1 + x)^(2^times), made by repeated squaring."""
+    b = ProgramBuilder()
+    s = b.add(b.one(), b.input())
+    for _ in range(times):
+        s = b.mul(s, s)
+    return b, s
+
+
+def test_oracle_decodes_coefficients_beyond_64_bits():
+    b, s = _squared(7)
+    prog = from_json(to_json(b.finish(s, 129)))
+    naive = evaluate(prog, DensePoly.x(), one=DensePoly.one())
+    assert eval_poly_oracle(prog) == naive
+    assert naive.coeffs[64] == math.comb(128, 64) == max(naive.coeffs)
+    assert max(naive.coeffs).bit_length() == 125
+    assert not passes_oracle(prog)
+
+
+def test_oracle_passes_series_whose_intermediates_exceed_64_bits():
+    # f(50) + s - s with s = (1 + x)^128: the output is the series, but
+    # the registers on the way hold 125-bit coefficients
+    b, s = _squared(7)
+    series = emit_binary_rule(b, b.input(), 50).value
+    prog = b.finish(b.sub(b.add(series, s), s), 50)
+    assert passes_oracle(prog)
+    assert eval_poly_oracle(prog) == DensePoly.all_ones(50)
+
+
+def test_oracle_refuses_unbounded_coefficients_quickly():
+    b, s = _squared(20)
+    prog = b.finish(s, 2)
+    start = time.perf_counter()
+    with pytest.raises(ProgramError):
+        passes_oracle(prog)
+    with pytest.raises(ProgramError):
+        eval_poly_oracle(prog)
+    assert time.perf_counter() - start < 1.0
+
+
+def _random_program(rng: random.Random) -> SlpProgram:
+    # each instruction reads the one before it, so products compound;
+    # the output is any computed register, which leaves the rest dead
+    b = ProgramBuilder()
+    regs = [b.input(), b.one()]
+    for _ in range(rng.randint(1, 14)):
+        op = rng.choice((b.add, b.sub, b.sub, b.mul, b.mul))
+        regs.append(op(regs[-1], rng.choice(regs[-3:])))
+    return b.finish(rng.choice(regs[2:]), rng.randint(1, 6))
+
+
+def test_oracle_agrees_with_naive_ring_on_random_programs():
+    rng = random.Random(6)
+    passing = 0
+    for _ in range(3000):
+        prog = _random_program(rng)
+        naive = evaluate(prog, DensePoly.x(), one=DensePoly.one())
+        assert eval_poly_oracle(prog) == naive, to_json(prog)
+        ok = naive == DensePoly.all_ones(prog.series_length)
+        assert passes_oracle(prog) == ok, to_json(prog)
+        passing += ok
+    assert passing > 0
+
+
+def test_random_programs_reach_every_walk_path():
+    rng = random.Random(6)
+    widths = set()
+    scanned = 0
+    for _ in range(3000):
+        prog = _random_program(rng)
+        facts = oracle_facts(prog)
+        assert facts.passes is passes_oracle(prog)
+        widths.add(facts.bits)
+        scanned += facts.decodes > 0
+    assert {16, 32, 64} < widths
+    assert max(widths) > 64
+    assert scanned > 100
+
+
+def test_oracle_facts_report_width_past_64_bits():
+    b, s = _squared(7)
+    facts = oracle_facts(b.finish(s, 129))
+    assert not facts.passes and facts.bits > 64
+    facts = oracle_facts(plan(4096, "auto").program)
+    assert facts.passes and facts.bits == 16
+
+
+def test_next_power_rewrites_stay_at_16_bit_digits():
+    # x^P = f(P)(x - 1) + 1 and f(3P) = f(P)(1 + x^P + x^2P): the
+    # bound rules compound past 2^14 while every true coefficient is 0 or 1
+    b = ProgramBuilder()
+    one = b.one()
+    x_minus_1 = b.sub(b.input(), one)
+    f, power = one, b.input()
+    for _ in range(7):
+        g = b.add(b.add(one, power), b.mul(power, power))
+        f = b.mul(f, g)
+        power = b.add(b.mul(f, x_minus_1), one)
+    prog = b.finish(f, 3**7)
+    facts = oracle_facts(prog)
+    assert facts.passes and facts.bits == 16 and facts.decodes > 0
+    assert polynomial_of_register(prog, power) == DensePoly((0,) * 3**7 + (1,))
 
 
 def test_mul_count_examples():
