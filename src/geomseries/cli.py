@@ -373,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("markov", help="stationary analysis of mixed-base policies")
     p.add_argument("--bases", action="append", required=True, help="e.g. 11,7,5,3,2 (repeatable)")
-    p.add_argument("--emit", choices=("table",), default="table")
     p.add_argument("--modulus", type=int, help="override the residue modulus (sensitivity checks)")
     p.add_argument("--empirical", type=int, metavar="SAMPLES", help="add a Monte-Carlo column")
     p.add_argument("--nmin", type=int, default=10**3)

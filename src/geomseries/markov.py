@@ -10,11 +10,13 @@ multiplications per level and, after normalizing by the expected bits
 removed per level, the asymptotic coefficient in front of log2(N).
 
 All chain data is exact rational.  The stationary solve returns exact
-rationals too: every closed class, whatever its size, is solved by p-adic
-lifting modulo a prime below 2^20 whose LU runs as exact float64 BLAS
-products, and the candidate is then *verified* as an exact fixed point,
-in integers over its common denominator, so a returned distribution is
-certified regardless of how it was found.
+rationals too: every closed class, whatever its size, is solved by
+numeric refinement, one float64 inverse whose corrections are checked
+against residuals kept exactly in int64, and a common denominator is
+reconstructed from the dyadic approximation.  The candidate is then
+*verified* as an exact fixed point, in integers over its common
+denominator, so a returned distribution is certified regardless of how
+it was found.
 """
 
 from __future__ import annotations
@@ -68,13 +70,14 @@ class ResidueChain:
 
 @dataclass(frozen=True)
 class SolverFacts:
-    """How an exact stationary solve went: the closed-class size, the prime
-    that certified, and the p-adic digits lifted and reconstructions tried,
-    both counted over every prime tried."""
+    """How an exact stationary solve went: the closed-class size, the
+    refinement steps taken, the bits of the solution they lifted and the
+    reconstructions tried.  Steps and bits depend on the float inverse, so
+    on the BLAS build and its thread count; the distribution never does."""
 
     states: int
-    prime: int
-    digits: int
+    steps: int
+    bits: int
     reconstructions: int
 
 
@@ -183,15 +186,13 @@ def _verify_fixed_point(chain: ResidueChain, scales: list[int], nums: list[int],
     return flow == [v * lq for v in nums]
 
 
-# The system is solved mod a prime p < 2^20 in float64.  A product of two
-# residues is below 2^40, so a BLAS product of inner dimension at most
-# _EXACT_INNER sums integers below (p - 1)^2 * 8192 < 2^53 - 2^34: it is
-# exact in any summation order and at any BLAS thread count.
-_SOLVE_PRIMES = (1048573, 1048571, 1048559)
-_EXACT_INNER = 8192
-_BLOCK = 64
-_MAX_PADIC_DIGITS = 1024
-_CHECKPOINT_GROWTH = 1.25  # reconstruct each time p^k grows by this factor in bits
+# A refinement step keeps _SAFETY_BITS of the float residual's precision
+# in reserve, so its exact residual may come out up to 2^(_SAFETY_BITS - 1)
+# times larger than the float one promises and still halve.
+_SAFETY_BITS = 4
+_INT64_ROOM = 62  # 2^s r and A c stay below 2^62, so 2^s r - A c fits int64
+_MAX_STEPS = 1024
+_CHECKPOINT_GROWTH = 1.25  # reconstruct each time the lifted bits grow by this factor
 _STATIONARY_CACHE_SIZE = 8
 
 
@@ -221,7 +222,7 @@ def _integer_system(
     (the base P_j of a residue chain), and y_j = pi_j / Q_j, balance row t
     gets Q_j q for each edge j -> t of probability q and -Q_t on the
     diagonal; the last row is the normalization sum(Q_j y_j) = 1.
-    Returns COO triples and the Q_j of ``states``.
+    Returns int64 COO triples sorted by row, and the Q_j of ``states``.
     """
     m = len(states)
     pos = {s: i for i, s in enumerate(states)}
@@ -235,192 +236,118 @@ def _integer_system(
     scale, diag = np.array(scale, dtype=np.int64), np.arange(m)
     rows = np.concatenate([edges[:, 0], diag[:-1], np.full(m, m - 1)])
     cols = np.concatenate([edges[:, 1], diag[:-1], diag])
-    vals = np.concatenate([edges[:, 2], -scale[:-1], scale]).astype(np.float64)
-    return rows, cols, vals, scale
+    vals = np.concatenate([edges[:, 2], -scale[:-1], scale])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], vals[order], scale
 
 
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p into [0, p), in place, for integer-valued |x| <= 2^53 - p.  floor(x * (1/p))
-    is off by at most one, which the masked corrections absorb; np.fmod is far slower."""
-    q = x * (1.0 / p)
-    np.floor(q, out=q)
-    q *= p
-    x -= q
-    np.add(x, p, out=x, where=x < 0)
-    np.subtract(x, p, out=x, where=x >= p)
-    return x
-
-
-def _matvec(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """A vector congruent to a @ x mod p with entries below (p - 1)^2 * 8192."""
-    if a.shape[1] <= _EXACT_INNER:
-        return a @ x
-    out = np.zeros(a.shape[0])
-    for s in range(0, a.shape[1], _EXACT_INNER):
-        out += _reduce(a[:, s : s + _EXACT_INNER] @ x[s : s + _EXACT_INNER], p)
-    return out
-
-
-def _unit_triangular_inverse(n: np.ndarray, p: int) -> np.ndarray:
-    """(I - n)^-1 mod p for a stack of strictly triangular, hence nilpotent, blocks
-    n: the finite geometric series I + n + n^2 + ... as (I + n)(I + n^2)(I + n^4)..."""
-    eye = np.eye(n.shape[-1])
-    inv, span = eye + n, 2
-    while span < n.shape[-1]:
-        n = _reduce(n @ n, p)
-        inv, span = _reduce(inv @ (eye + n), p), 2 * span
-    return inv
-
-
-def _factor_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Blocked LU mod p of the reduced, column-major a in place: a[perm] = L U.
-
-    Returns perm and the stacked inverses of the diagonal blocks of L and U,
-    or None if a is singular mod p.  A panel step reduces only the pivot
-    column and row.  The block row is one product with the L block inverse;
-    the trailing update is one BLAS product, reduced only when a panel or
-    block row reads it or its inner dimension could pass _EXACT_INNER.
-    """
-    m = a.shape[0]
-    perm = np.arange(m)
-    diag = np.tile(np.eye(_BLOCK), (-(-m // _BLOCK), 1, 1))
-    linv = np.empty_like(diag)
-    pending = 0
-    for i, k in enumerate(range(0, m, _BLOCK)):
-        e = min(k + _BLOCK, m)
-        for j in range(k, e):
-            nonzero = np.flatnonzero(_reduce(a[j:, j], p))
-            if nonzero.size == 0:
-                return None
-            piv = j + int(nonzero[0])
-            if piv != j:
-                a[[j, piv]] = a[[piv, j]]
-                perm[[j, piv]] = perm[[piv, j]]
-            a[j + 1 :, j] = _reduce(a[j + 1 :, j] * pow(int(a[j, j]), -1, p), p)
-            a[j + 1 :, j + 1 : e] -= np.outer(a[j + 1 :, j], _reduce(a[j, j + 1 : e], p))
-        diag[i, : e - k, : e - k] = a[k:e, k:e]
-        linv[i] = _unit_triangular_inverse(_reduce(-np.tril(diag[i], -1), p), p)
-        if e == m:
-            break
-        a[k:e, e:] = _reduce(linv[i, : e - k, : e - k] @ _reduce(a[k:e, e:], p), p)
-        if pending + 2 * _BLOCK > _EXACT_INNER:
-            _reduce(a[e:, e:], p)
-            pending = 0
-        # the transposed product comes out in a's column-major layout
-        a[e:, e:] -= (a[k:e, e:].T @ a[e:, k:e].T).T
-        pending += _BLOCK
-    # U = D (I - n) with n = -D^-1 (U - D), so U^-1 = (I - n)^-1 D^-1
-    dinv = np.vectorize(lambda d: float(pow(int(d), -1, p)))(diag.diagonal(0, 1, 2))
-    n = _reduce(-dinv[:, :, None] * np.triu(diag, 1), p)
-    return perm, linv, _reduce(_unit_triangular_inverse(n, p) * dinv[:, None, :], p)
-
-
-def _solve_mod(lu: np.ndarray, factored: tuple, b: np.ndarray, p: int) -> np.ndarray:
-    """x with L U x = b[perm] mod p, by blocked forward and back substitution."""
-    perm, linv, uinv = factored
-    m = lu.shape[0]
-    x = _reduce(b[perm], p)
-    blocks = [(i, s, min(s + _BLOCK, m)) for i, s in enumerate(range(0, m, _BLOCK))]
-    for i, s, e in blocks:
-        t = _reduce(x[s:e] - _matvec(lu[s:e, :s], x[:s], p), p)
-        x[s:e] = _reduce(linv[i, : e - s, : e - s] @ t, p)
-    for i, s, e in reversed(blocks):
-        t = _reduce(x[s:e] - _matvec(lu[s:e, e:], x[e:], p), p)
-        x[s:e] = _reduce(uinv[i, : e - s, : e - s] @ t, p)
-    return x
-
-
-def _rational_reconstruct(c: int, modulus: int) -> Fraction | None:
-    bound = math.isqrt(modulus // 2)
+def _half_gcd(c: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(q, r) with q c = r mod ``modulus``, 0 < q <= bound and |r| <= bound,
+    from the extended Euclid on (modulus, c) stopped halfway; or None."""
     r0, r1 = modulus, c % modulus
     s0, s1 = 0, 1
     while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0:
-        return None
-    num, den = r1, s1
-    if den < 0:
-        num, den = -num, -den
-    if den == 0 or den > bound or math.gcd(den, modulus) != 1:
-        return None
-    return Fraction(num, den)
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        s0, s1 = s1, s0 - quo * s1
+    if s1 < 0:
+        s1, r1 = -s1, -r1
+    return (s1, r1) if 0 < s1 <= bound else None
 
 
-def _reconstruct(values, modulus: int, scale, states, size: int) -> tuple[list[int], int] | None:
+def _reconstruct(values, bits: int, scale, states, size: int) -> tuple[list[int], int] | None:
     """Length-size numerators over one denominator D, pi = nums / D with
-    pi[states[j]] = Q_j y_j and y_j = values_j mod modulus; or None.
+    pi[states[j]] = Q_j y_j and y_j ~ values_j / 2^bits; or None.
 
-    D is grown as it goes: a value times the denominator so far needs a
-    rational reconstruction, whose denominator joins the common one, only
-    if its symmetric residue exceeds the bound.
+    D is grown as it goes.  With t = v D and rho the balanced residue of
+    t mod 2^bits, a small rho makes (t - rho) / 2^bits the numerator over D.
+    Otherwise a half-gcd step finds q t = rho' mod 2^bits, D becomes D q and
+    the numerator is (q t - rho') / 2^bits.  The pair (rho', q) must stay
+    unreduced: dividing both by their gcd breaks that division.
     """
+    modulus = 1 << bits
     bound = math.isqrt(modulus // 2)
     den, parts = 1, []
     for v, q in zip(values, scale):
-        r = v * den % modulus
-        if r > modulus // 2:
-            r -= modulus
-        if abs(r) > bound:
-            rec = _rational_reconstruct(r, modulus)
-            if rec is None or den * rec.denominator > bound:
+        t = v * den
+        rho = t % modulus
+        if rho > modulus // 2:
+            rho -= modulus
+        if abs(rho) > bound:
+            step = _half_gcd(t, modulus, bound)
+            if step is None or den * step[0] > bound:
                 return None
-            den *= rec.denominator
-            r = rec.numerator
-        parts.append((int(q) * r, den))
+            den *= step[0]
+            t, rho = step[0] * t, step[1]
+        parts.append((int(q) * ((t - rho) >> bits), den))
     nums = [0] * size
     for s, (num, d) in zip(states, parts):
         nums[s] = num * (den // d)
     return nums, den
 
 
-def _dixon_solve(
+def _refine_solve(
     chain: ResidueChain, states: list[int], scales: list[int]
 ) -> tuple[list[int], int, SolverFacts]:
-    """Exact stationary distribution, zero off ``states``, by p-adic lifting.
+    """Exact stationary distribution, zero off ``states``, by numeric
+    refinement on exact integer residuals (Wan, J. Symb. Comput. 41(6), 2006).
 
     Returns the numerators over their common denominator, (nums, den).
-
-    Denominators run to hundreds of bits already at modulus 210, so the
-    solution is lifted digit by digit modulo one prime p < 2^20, factored
-    once (_factor_mod).  A digit costs one blocked substitution, made of
-    products with the diagonal block inverses, and one sparse residual.
-    A common denominator is reconstructed each time p^k has grown by
-    _CHECKPOINT_GROWTH in bits; only an exact fixed point is returned.  A
-    prime that divides the determinant, or does not certify within
-    _MAX_PADIC_DIGITS digits, gives way to the next one.
+    A step solves for the exact int64 residual r with one float64 inverse,
+    z = inv r, keeps the s bits of z that its own float residual vouches
+    for, and sets r <- 2^s r - A c with c = rint(z 2^s), exactly over the
+    COO triples; value <- 2^s value + c keeps A value = 2^bits e_last - r.
+    s is capped so that 2^s r and A c stay below 2^62: int64 wraps silently.
+    A step that gains no bit or does not halve r, up to the rounding term
+    max_t sum_j |A_tj| / 2, raises ArithmeticError.  Each time the bits grow
+    by _CHECKPOINT_GROWTH a common denominator is reconstructed; only an
+    exact fixed point is returned.
     """
     m = len(states)
     rows, cols, vals, scale = _integer_system(chain, states, scales)
-    digits = attempts = 0
-    for p in _SOLVE_PRIMES:
-        lu = np.zeros((m, m), order="F")
-        np.add.at(lu, (rows, cols), vals)
-        factored = _factor_mod(_reduce(lu, p), p)
-        if factored is None:
+    inv = np.linalg.inv(np.bincount(rows * m + cols, vals, m * m).reshape(m, m))
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    row_sum = int(np.add.reduceat(np.abs(vals), starts).max())
+    r = np.zeros(m, dtype=np.int64)
+    r[-1] = 1
+    value = np.zeros(m, dtype=object)
+    bits = attempts = 0
+    next_bits = 0.0
+    for step in range(1, _MAX_STEPS + 1):
+        z = inv @ r
+        r_max, z_max = int(np.abs(r).max()), float(np.abs(z).max())
+        # the float residual resolves nothing below 2^-53 of its terms, which
+        # also keeps s below 53 bits
+        est = float(np.abs(r - np.add.reduceat(vals * z[cols], starts)).max())
+        est += 2.0**-53 * (r_max + row_sum * z_max)
+        s = min(
+            math.floor(math.log2(r_max / est)) - _SAFETY_BITS if r_max else _INT64_ROOM,
+            _INT64_ROOM - r_max.bit_length(),
+            _INT64_ROOM - math.frexp(z_max)[1] - row_sum.bit_length(),
+        )
+        if s < 1:
+            raise ArithmeticError(
+                f"stationary refinement step {step} gains no bit: float residual "
+                f"{est:.3g} of exact residual {r_max}, largest row sum {row_sum}"
+            )
+        c = np.rint(np.ldexp(z, s)).astype(np.int64)
+        r = (r << s) - np.add.reduceat(vals * c[cols], starts)
+        new_max = int(np.abs(r).max())
+        if 2 * new_max > r_max + row_sum:
+            raise ArithmeticError(
+                f"stationary refinement step {step}: exact residual {new_max} "
+                f"exceeds the bound {(r_max + row_sum) / 2} that {s} bits promise"
+            )
+        value = value * (1 << s) + c.astype(object)
+        bits += s
+        if bits < next_bits and step < _MAX_STEPS:
             continue
-        b = np.zeros(m)
-        b[-1] = 1
-        value = np.zeros(m, dtype=object)
-        power, next_bits = 1, 0.0
-        for k in range(1, _MAX_PADIC_DIGITS + 1):
-            x = _solve_mod(lu, factored, b, p)
-            value += x.astype(np.int64).astype(object) * power
-            power *= p
-            digits += 1
-            r = b - np.bincount(rows, weights=vals * x[cols], minlength=m)
-            if np.fmod(r, p).any():
-                raise AssertionError("p-adic residual not divisible by the prime")
-            b = r / p
-            if power.bit_length() < next_bits and k < _MAX_PADIC_DIGITS:
-                continue
-            next_bits = _CHECKPOINT_GROWTH * power.bit_length()
-            attempts += 1
-            candidate = _reconstruct(value, power, scale, states, chain.modulus)
-            if candidate is not None and _verify_fixed_point(chain, scales, *candidate):
-                return (*candidate, SolverFacts(m, p, digits, attempts))
-    raise ArithmeticError(f"stationary solve not certified with primes {list(_SOLVE_PRIMES)}")
+        next_bits = _CHECKPOINT_GROWTH * bits
+        attempts += 1
+        candidate = _reconstruct(value, bits, scale, states, chain.modulus)
+        if candidate is not None and _verify_fixed_point(chain, scales, *candidate):
+            return (*candidate, SolverFacts(m, step, bits, attempts))
+    raise ArithmeticError(f"stationary refinement not certified in {_MAX_STEPS} steps ({bits} bits)")
 
 
 _stationary_cache: dict[ResidueChain, StationaryResult] = {}
@@ -431,10 +358,12 @@ def stationary(chain: ResidueChain) -> StationaryResult:
 
     Transient residues get probability zero.  Raises ValueError naming
     the first row whose probabilities are not positive or do not sum to
-    exactly 1, and ReducibleChainError when more than one closed class
-    exists.  The result is always checked to be an exact fixed point
-    before being returned, and the last few results are cached per chain
-    since large solves are expensive.
+    exactly 1, ReducibleChainError when more than one closed class
+    exists, and ArithmeticError naming the refinement step that failed
+    when the float inverse is too poor to refine.  The result is always
+    checked to be an exact fixed point before being returned, and the
+    last few results are cached per chain since large solves are
+    expensive.
     """
     cached = _stationary_cache.get(chain)
     if cached is not None:
@@ -443,7 +372,7 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     closed = _closed_classes(chain)
     if len(closed) != 1:
         raise ReducibleChainError(closed)
-    nums, den, facts = _dixon_solve(chain, list(closed[0]), scales)
+    nums, den, facts = _refine_solve(chain, list(closed[0]), scales)
     # sums over the common denominator stay in integers; v / den rounds
     # correctly, as float(Fraction(v, den)) does
     base_nums = dict.fromkeys(chain.bases, 0)

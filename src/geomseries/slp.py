@@ -401,11 +401,15 @@ def _walk(
     _DigitOverflow and the caller retries at a wider digit.
 
     ``bits=None`` runs the bound rules alone and raises ProgramError
-    when a bound reaches ``limit``.  Returns (output value, output
-    bound, digit scans).
+    when a bound reaches ``limit``.  With no digits to scan, it also
+    carries an L1 bound l >= sum |coefficient| (ADD and SUB add it, MUL
+    multiplies it) and takes min(m, l) as the register's m: the nnz rule
+    squares its own slack along a chain of squarings, the L1 rule does
+    not.  Returns (output value, output bound, digit scans).
     """
     instrs = program.instrs
     vals = [0] * len(instrs) if bits else None
+    ls = [1] * len(instrs) if vals is None else None
     ms = [1] * len(instrs)
     zs = [1] * len(instrs)
     scanned = [False] * len(instrs)
@@ -414,6 +418,9 @@ def _walk(
         if op == MUL:
             za, zb = zs[a], zs[b]
             m = (za if za < zb else zb) * ms[a] * ms[b]
+            if vals is None:
+                ls[i] = ls[a] * ls[b]
+                m = m if m < ls[i] else ls[i]
             if m >= limit:
                 if vals is None:
                     raise ProgramError(_TOO_LARGE)
@@ -434,6 +441,9 @@ def _walk(
             z = zs[a] + zs[b]
             if vals is not None:
                 vals[i] = vals[a] + vals[b] if op == ADD else vals[a] - vals[b]
+            else:
+                ls[i] = ls[a] + ls[b]
+                m = m if m < ls[i] else ls[i]
             if m >= limit:
                 if vals is None:
                     raise ProgramError(_TOO_LARGE)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_single_base_two_degenerates():
 
 
 def test_dixon_path_certifies_midsize_chain():
-    # modulus 210 goes through the p-adic solver; re-verify independently
+    # modulus 210 takes several refinement steps; re-verify independently
     chain = build_chain((7, 5, 3, 2))
     res = stationary(chain)
     assert sum(res.dist) == 1
@@ -186,29 +187,6 @@ def test_stationary_summary_is_pinned(bases):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SUMMARIES[bases]
 
 
-def test_chunked_inner_dimension_keeps_the_distribution(monkeypatch):
-    # a small bound forces the paths that chains above 8192 states take:
-    # trailing reductions after every panel and chunked substitution products
-    monkeypatch.setattr(markov, "_stationary_cache", {})
-    monkeypatch.setattr(markov, "_EXACT_INNER", 128)
-    res = stationary(build_chain((7, 5, 3, 2)))
-    digest = hashlib.sha256(str(res.dist).encode()).hexdigest()
-    assert digest == PINNED_DISTRIBUTIONS[((7, 5, 3, 2), None)]
-
-
-@pytest.mark.parametrize("p", markov._SOLVE_PRIMES)
-def test_reduce_matches_integer_mod(p):
-    top = 2**53 // p - 2
-    q = np.concatenate(
-        [np.arange(top - 50_000, top), np.arange(-top, 50_000 - top), np.arange(-50_000, 50_000)]
-    )
-    # multiples of p and their neighbours up to |x| = 2^53 - p, where
-    # floor(x * (1/p)) is off by one for some large x of either sign
-    values = (q[:, None] * p + np.arange(-2, 3)).ravel()
-    got = markov._reduce(values.astype(np.float64), p)
-    assert np.array_equal(got, values % p)
-
-
 def test_single_state_closed_class():
     one = F(1)
     # 0 -> 1 and 2 -> 0 are transient; 1 is absorbing
@@ -263,24 +241,76 @@ def test_transient_states_feed_the_three_two_chain():
     assert res.solver.states == 6
 
 
-def test_solver_falls_through_to_the_next_prime(monkeypatch):
-    # 5 divides the determinant -270 of the {3,2} system, so it cannot
-    # factor; 7 factors, but one digit mod 7 cannot carry the denominators
-    monkeypatch.setattr(markov, "_stationary_cache", {})
-    monkeypatch.setattr(markov, "_SOLVE_PRIMES", (5, 7, 1048573))
-    monkeypatch.setattr(markov, "_MAX_PADIC_DIGITS", 1)
-    chain = build_chain((3, 2))
-    res = stationary(chain)
-    assert res.dist == (F(1, 10), F(2, 10), F(2, 10), F(1, 10), F(2, 10), F(2, 10))
-    assert manual_flow(chain, list(res.dist)) == list(res.dist)
-    assert res.solver == markov.SolverFacts(states=6, prime=1048573, digits=2, reconstructions=2)
+def fraction_gauss_jordan(chain):
+    """Reference stationary distribution: pi (P - I) = 0 with the last
+    balance equation replaced by sum(pi) = 1, eliminated in Fractions."""
+    n = chain.modulus
+    dense = chain.dense()
+    aug = [[dense[j][t] - (j == t) for j in range(n)] + [F(0)] for t in range(n - 1)]
+    aug.append([F(1)] * (n + 1))
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [v - f * w if w else v for v, w in zip(aug[i], aug[col])]
+    return tuple(row[n] for row in aug)
 
 
-def test_solver_names_the_primes_it_tried(monkeypatch):
+def random_chain(rng):
+    """1-40 states; one closed class, strongly connected through a random
+    cycle, and transient states that each reach it.  Each row normalizes
+    weights whose denominators are mixed from 2 to 12."""
+    n = rng.randint(1, 40)
+    states = list(range(n))
+    rng.shuffle(states)
+    closed = states[: rng.randint(1, n)]
+    succ = {}
+    for i, j in enumerate(closed):
+        extra = rng.sample(closed, rng.randint(0, min(3, len(closed))))
+        succ[j] = {closed[(i + 1) % len(closed)], *extra}
+    for j in states[len(closed) :]:
+        succ[j] = {rng.choice(closed), *rng.sample(states, rng.randint(0, 2))}
+    rows = []
+    for j in range(n):
+        targets = sorted(succ[j])
+        raw = [F(rng.randint(1, 3), rng.randint(2, 12)) for _ in targets]
+        total = sum(raw)
+        rows.append(tuple((t, w / total) for t, w in zip(targets, raw)))
+    return ResidueChain((2,), n, tuple(rows), ((2, 2),) * n)
+
+
+def test_random_chains_match_fraction_elimination(monkeypatch):
     monkeypatch.setattr(markov, "_stationary_cache", {})
-    monkeypatch.setattr(markov, "_SOLVE_PRIMES", (5, 7))
-    monkeypatch.setattr(markov, "_MAX_PADIC_DIGITS", 1)
-    with pytest.raises(ArithmeticError, match=r"primes \[5, 7\]"):
+    rng = random.Random(20261018)
+    with_transients = 0
+    for _ in range(60):
+        chain = random_chain(rng)
+        res = stationary(chain)
+        assert res.dist == fraction_gauss_jordan(chain)
+        assert res.solver.steps >= 1 and res.solver.bits >= res.solver.steps
+        with_transients += res.solver.states < chain.modulus
+    assert with_transients >= 20
+
+
+@pytest.mark.parametrize("bases", [(2,), (3, 2), (7, 5, 3, 2)])
+def test_poor_float_inverse_raises_instead_of_returning(monkeypatch, bases):
+    monkeypatch.setattr(markov, "_stationary_cache", {})
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) / 2)
+    with pytest.raises(ArithmeticError, match="refinement step 1 gains no bit"):
+        stationary(build_chain(bases))
+
+
+def test_step_above_its_promised_residual_raises(monkeypatch):
+    # claiming 8 bits more than the float residual vouches for leaves an
+    # exact residual far above the bound the step promised
+    monkeypatch.setattr(markov, "_stationary_cache", {})
+    monkeypatch.setattr(markov, "_SAFETY_BITS", -8)
+    with pytest.raises(ArithmeticError, match="refinement step 1: exact residual .* exceeds"):
         stationary(build_chain((3, 2)))
 
 

@@ -260,6 +260,14 @@ def test_oracle_facts_report_width_past_64_bits():
     assert facts.passes and facts.bits == 16
 
 
+def test_width_past_64_bits_follows_the_l1_bound():
+    # (1 + x)^1024 has L1 norm 2^1024: its width is 1025 + 2 bits rounded
+    # up to a byte, where the nnz rule alone gives 2760
+    b, s = _squared(10)
+    facts = oracle_facts(b.finish(s, 1025))
+    assert not facts.passes and facts.bits == 1032
+
+
 def test_next_power_rewrites_stay_at_16_bit_digits():
     # x^P = f(P)(x - 1) + 1 and f(3P) = f(P)(1 + x^P + x^2P): the
     # bound rules compound past 2^14 while every true coefficient is 0 or 1
