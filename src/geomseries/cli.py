@@ -102,7 +102,7 @@ def cmd_verify(args) -> int:
     failures: list[dict] = []
     rows: list[dict] = []
     checked = 0
-    max_bits = decodes = 0
+    max_bits = decodes = retries = 0
     for n in range(args.min, args.max + 1):
         for strat in strategies:
             if strat.kind == "auto":
@@ -113,9 +113,10 @@ def cmd_verify(args) -> int:
                 except ValueError:
                     continue  # strategy not applicable at this length
             checked += 1
-            ok, bits, scans = oracle_facts(rep.program)
+            ok, bits, scans, abandoned = oracle_facts(rep.program)
             max_bits = max(max_bits, bits)
             decodes += scans
+            retries += abandoned
             if not ok:
                 failures.append(
                     {
@@ -153,7 +154,7 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "fixtures": fixture_rows,
         "ok": ok_overall,
-        "oracle": {"max_bits": max_bits, "decodes": decodes},
+        "oracle": {"max_bits": max_bits, "decodes": decodes, "retries": retries},
     }
     if args.counts:
         doc["counts"] = rows
@@ -413,7 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("verify", "count") and not 1 <= args.min <= args.max:
+        parser.error(
+            f"{args.command}: need 1 <= --min <= --max, got --min {args.min} --max {args.max}"
+        )
     return args.func(args)
 
 

@@ -191,6 +191,7 @@ def _verify_fixed_point(chain: ResidueChain, scales: list[int], nums: list[int],
 # times larger than the float one promises and still halve.
 _SAFETY_BITS = 4
 _INT64_ROOM = 62  # 2^s r and A c stay below 2^62, so 2^s r - A c fits int64
+_INT64_LIMIT = 1 << 63
 _MAX_STEPS = 1024
 _CHECKPOINT_GROWTH = 1.25  # reconstruct each time the lifted bits grow by this factor
 _STATIONARY_CACHE_SIZE = 8
@@ -199,7 +200,8 @@ _STATIONARY_CACHE_SIZE = 8
 def _row_scales(chain: ResidueChain) -> list[int]:
     """Common denominator Q_j of each row's probabilities, after checking in
     integers that the row is stochastic: every numerator over Q_j positive,
-    and the numerators summing to exactly Q_j."""
+    and the numerators summing to exactly Q_j.  The integer system holds
+    each Q_j in int64, so a Q_j of 2^63 or more is refused here."""
     scales = []
     for j, row in enumerate(chain.rows):
         q = math.lcm(*(p.denominator for _, p in row))
@@ -208,6 +210,11 @@ def _row_scales(chain: ResidueChain) -> list[int]:
             raise ValueError(
                 f"row {j} of the chain is not stochastic: its probabilities "
                 f"must be positive and sum to 1, got {[str(p) for _, p in row]}"
+            )
+        if q >= _INT64_LIMIT:
+            raise ValueError(
+                f"row {j} of the chain has common denominator {q}, at or above "
+                "the solver's int64 limit 2^63"
             )
         scales.append(q)
     return scales
@@ -358,12 +365,16 @@ def stationary(chain: ResidueChain) -> StationaryResult:
 
     Transient residues get probability zero.  Raises ValueError naming
     the first row whose probabilities are not positive or do not sum to
-    exactly 1, ReducibleChainError when more than one closed class
-    exists, and ArithmeticError naming the refinement step that failed
-    when the float inverse is too poor to refine.  The result is always
-    checked to be an exact fixed point before being returned, and the
-    last few results are cached per chain since large solves are
-    expensive.
+    exactly 1, or whose common denominator is 2^63 or more (the int64
+    limit), ReducibleChainError when more than one closed class exists,
+    and ArithmeticError naming the refinement step that failed when the
+    float inverse is too poor to refine.  In a seeded sweep of 20-state
+    chains whose rows each have one common denominator of k bits,
+    denominators below 2^56 solved; those from about 2^56 up to 2^63
+    raise ArithmeticError, which names the step (or the step limit).  The
+    result is always checked to be an exact fixed point before being
+    returned, and the last few results are cached per chain since large
+    solves are expensive.
     """
     cached = _stationary_cache.get(chain)
     if cached is not None:

@@ -19,9 +19,9 @@ Beside each value the oracle carries a rigorous bound on the register's
 largest coefficient and its nonzero count, combined by simple rules per
 instruction; only when a bound would reach 2^(w-2) does it scan that
 value's digits for the exact statistics, and if those still reach the
-limit it restarts at a wider digit (16, 32, then 64 bits, then a width
-taken from the bound rules alone).  Every output coefficient is then
-below 2^(w-2) in magnitude, so its balanced digits are the
+limit it restarts at a wider digit (8, 16, 32, then 64 bits, then a
+width taken from the bound rules alone).  Every output coefficient is
+then below 2^(w-2) in magnitude, so its balanced digits are the
 coefficients, and comparing P(2^w) with the packed all-ones vector is a
 proof of equality.
 """
@@ -320,7 +320,8 @@ class DensePoly:
         return f"DensePoly({list(self.coeffs)})"
 
 
-_FAST_DIGIT_DTYPES = {16: "<u2", 32: "<u4", 64: "<u8"}
+_FAST_DIGIT_DTYPES = {8: "u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+_UNIT_DIGITS = b"\x7f\x80\x81"  # offset 8-bit digits of -1, 0 and 1
 _MAX_ORACLE_LENGTH = 1 << 24
 _MAX_FALLBACK_BITS = 1 << 16
 _TOO_LARGE = "coefficient bound too large for exact verification of this program"
@@ -334,12 +335,14 @@ class OracleFacts(NamedTuple):
     """How the exact oracle checked one program.
 
     ``bits`` is the digit width of the walk that succeeded; ``decodes``
-    counts the exact digit scans over every width tried.
+    counts the exact digit scans over every width tried, and ``retries``
+    the narrower widths the walk abandoned before ``bits``.
     """
 
     passes: bool
     bits: int
     decodes: int
+    retries: int
 
 
 def _length_bounds(program: SlpProgram) -> list[int]:
@@ -367,8 +370,15 @@ def _offset_bytes(v: int, length: int, bits: int) -> bytes:
 
 
 def _stats(v: int, length: int, bits: int) -> tuple[int, int]:
-    """Exact (max |coefficient|, nonzero count) of a value with clean digits."""
-    d = np.frombuffer(_offset_bytes(v, length, bits), dtype=_FAST_DIGIT_DTYPES[bits])
+    """Exact (max |coefficient|, nonzero count) of a value with clean digits.
+
+    At 8 bits a value whose coefficients all lie in {-1, 0, 1}, as every
+    shipped plan's do, is read with byte operations alone.
+    """
+    raw = _offset_bytes(v, length, bits)
+    if bits == 8 and not raw.translate(None, _UNIT_DIGITS):
+        return (1 if v else 0), length - raw.count(128)
+    d = np.frombuffer(raw, dtype=_FAST_DIGIT_DTYPES[bits])
     half = 1 << (bits - 1)
     top = max(int(d.max()) - half, half - int(d.min()))
     return top, int(np.count_nonzero(d != d.dtype.type(half)))
@@ -393,12 +403,12 @@ def _walk(
     Each register also carries a rigorous bound m >= max |coefficient|
     and z >= nonzero count.  ADD and SUB add the bounds; MUL takes
     min(za, zb) * ma * mb and za * zb; z never exceeds the register's
-    length bound.  At the fast widths ``limit`` is 2^(bits-2), and a
-    bound that would reach it is replaced by the exact statistics from
-    one digit scan: a MUL scans its operands, an ADD or SUB its result
-    (whose coefficients are below 2 * limit, so its digits are clean).
-    If the exact bound still reaches ``limit`` the walk raises
-    _DigitOverflow and the caller retries at a wider digit.
+    length bound.  At the fast widths (8, 16, 32, then 64 bits) ``limit``
+    is 2^(bits-2), and a bound that would reach it is replaced by the
+    exact statistics from one digit scan: a MUL scans its operands, an
+    ADD or SUB its result (whose coefficients are below 2 * limit, so its
+    digits are clean).  If the exact bound still reaches ``limit`` the
+    walk raises _DigitOverflow and the caller retries at a wider digit.
 
     ``bits=None`` runs the bound rules alone and raises ProgramError
     when a bound reaches ``limit``.  With no digits to scan, it also
@@ -462,11 +472,12 @@ def _walk(
     return (0 if vals is None else vals[out]), ms[out], decodes
 
 
-def _oracle(program: SlpProgram) -> tuple[int, int, int, int]:
-    """(P(2^bits), bits, output length bound, digit scans) of the output.
+def _oracle(program: SlpProgram) -> tuple[int, int, int, int, int]:
+    """(P(2^bits), bits, output length bound, digit scans, retries).
 
     Every output coefficient is below 2^(bits-2) in magnitude, so the
-    value determines the polynomial.  The fast widths are tried in turn.
+    value determines the polynomial.  The fast widths, 8, 16, 32 and 64
+    bits, are tried in turn; each one abandoned counts as a retry.
     Past them the width comes from the output's structural bound (the
     walk's rules run without values); no register the output depends on
     can exceed that bound, so the walk at that width needs no scans and
@@ -479,17 +490,18 @@ def _oracle(program: SlpProgram) -> tuple[int, int, int, int]:
             f"output length bound {out_length} exceeds the exact-oracle limit "
             f"{_MAX_ORACLE_LENGTH}; use evaluate_mod spot checks instead"
         )
-    decodes = 0
+    decodes = retries = 0
     for bits in _FAST_DIGIT_DTYPES:
         try:
             value, _, scans = _walk(program, lengths, bits, 1 << (bits - 2))
-            return value, bits, out_length, decodes + scans
+            return value, bits, out_length, decodes + scans, retries
         except _DigitOverflow as exc:
             decodes += exc.args[0]
+            retries += 1
     _, bound, _ = _walk(program, lengths, None, 1 << (_MAX_FALLBACK_BITS - 2))
     bits = (bound.bit_length() + 2 + 7) // 8 * 8
     value, _, _ = _walk(program, lengths, bits, math.inf)
-    return value, bits, out_length, decodes
+    return value, bits, out_length, decodes, retries
 
 
 def eval_poly_oracle(program: SlpProgram) -> DensePoly:
@@ -499,7 +511,7 @@ def eval_poly_oracle(program: SlpProgram) -> DensePoly:
     ``series_length``.  Equivalent to ``evaluate(program, DensePoly.x())``
     but packs coefficients into big integers so large plans stay cheap.
     """
-    value, bits, length, _ = _oracle(program)
+    value, bits, length, _, _ = _oracle(program)
     return DensePoly(_coefficients(value, length, bits))
 
 
@@ -509,7 +521,7 @@ def polynomial_of_register(program: SlpProgram, register: int) -> DensePoly:
 
 
 def oracle_facts(program: SlpProgram) -> OracleFacts:
-    """The oracle's verdict together with the digit width and scans it took.
+    """The oracle's verdict with the digit width, scans and retries it took.
 
     Compares the packed output with the packed all-ones vector without
     decoding.  Their difference has coefficients below 2^(bits-1) in
@@ -517,9 +529,9 @@ def oracle_facts(program: SlpProgram) -> OracleFacts:
     zero, so the comparison is equivalent to
     ``eval_poly_oracle(program) == DensePoly.all_ones(series_length)``.
     """
-    value, bits, _, decodes = _oracle(program)
+    value, bits, _, decodes, retries = _oracle(program)
     ones = _repeated(1, program.series_length, bits)
-    return OracleFacts(value == ones, bits, decodes)
+    return OracleFacts(value == ones, bits, decodes, retries)
 
 
 def passes_oracle(program: SlpProgram) -> bool:

@@ -19,7 +19,7 @@ from geomseries.planner import (
     plan,
     plan_prime_power,
 )
-from geomseries.slp import passes_oracle
+from geomseries.slp import oracle_facts, passes_oracle
 
 VERIFY_MAX = 4096
 
@@ -28,25 +28,31 @@ def _verdict(name: str, detail: str) -> None:
     print(f"[PASS] {name}: {detail}")
 
 
+def _passes_at_8_bits(program) -> bool:
+    # every shipped plan verifies at the narrowest digit, with no retry
+    facts = oracle_facts(program)
+    return facts.passes and facts.bits == 8 and facts.retries == 0
+
+
 def test_acceptance_oracle_soundness(auto_planner):
     start = time.perf_counter()
     checked = 0
     for n in range(1, VERIFY_MAX + 1):
         for label in ("auto", "binary", "ternary", "mixed:11,7,5,3,2"):
             rep = auto_planner.plan(n) if label == "auto" else plan(n, label)
-            assert passes_oracle(rep.program), (n, label)
+            assert _passes_at_8_bits(rep.program), (n, label)
             checked += 1
     for p in (2, 3, 5, 7, 11):
         e = 1
         while p**e <= VERIFY_MAX:
-            assert passes_oracle(plan_prime_power(p, e).program), (p, e)
+            assert _passes_at_8_bits(plan_prime_power(p, e).program), (p, e)
             checked += 1
             e += 1
     for level in range(1, 5):
         y = RECURRENCE_SIZES[level]
         m = 1
         while y**m <= VERIFY_MAX:
-            assert passes_oracle(plan(y**m, "recurrence").program), (y, m)
+            assert _passes_at_8_bits(plan(y**m, "recurrence").program), (y, m)
             checked += 1
             m += 1
     elapsed = time.perf_counter() - start

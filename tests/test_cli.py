@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from geomseries import linalg
 from geomseries.cli import main
@@ -68,9 +69,28 @@ def test_verify_json_reports_oracle_width_and_scans(capsys):
     code, out = run(capsys, "verify", "--min", "1", "--max", "64", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["oracle"]["max_bits"] == 16
+    assert doc["oracle"]["max_bits"] == 8
     assert doc["oracle"]["decodes"] > 0
     assert set(doc) == {"checked", "range", "strategies", "failures", "fixtures", "ok", "oracle"}
+
+
+def test_verify_json_reports_no_oracle_retries_on_shipped_plans(capsys):
+    code, out = run(capsys, "verify", "--min", "1", "--max", "32", "--format", "json")
+    assert code == 0
+    oracle = json.loads(out)["oracle"]
+    assert set(oracle) == {"max_bits", "decodes", "retries"}
+    assert oracle["retries"] == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "count"])
+@pytest.mark.parametrize("bounds", [("5", "3"), ("0", "3"), ("-2", "4")])
+def test_empty_or_invalid_range_is_a_usage_error(capsys, command, bounds):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--min", bounds[0], "--max", bounds[1]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--min" in captured.err
 
 
 def test_verify_applies_strategy_filter(capsys):

@@ -296,6 +296,37 @@ def test_random_chains_match_fraction_elimination(monkeypatch):
     assert with_transients >= 20
 
 
+def wide_row_chain(rng, n, bits):
+    """n states in one cycle with extra edges; every row splits one common
+    denominator of ``bits`` bits into 2-5 positive numerators."""
+    rows = []
+    for j in range(n):
+        targets = sorted({(j + 1) % n, (j + 2) % n, *rng.sample(range(n), rng.randint(0, 3))})
+        q = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        cuts = sorted(rng.sample(range(1, 1 << 32), len(targets) - 1))
+        cuts = [c * (q >> 32) for c in cuts]
+        weights = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
+        rows.append(tuple((t, F(w, q)) for t, w in zip(targets, weights)))
+    return ResidueChain((2,), n, tuple(rows), ((2, 2),) * n)
+
+
+def test_rows_of_52_bits_match_fraction_elimination(monkeypatch):
+    monkeypatch.setattr(markov, "_stationary_cache", {})
+    chain = wide_row_chain(random.Random(52), 12, 52)
+    assert stationary(chain).dist == fraction_gauss_jordan(chain)
+
+
+def test_row_past_the_int64_limit_is_a_value_error():
+    chain = ResidueChain(
+        bases=(2,),
+        modulus=2,
+        rows=(((0, F(1, 2**64)), (1, 1 - F(1, 2**64))), ((0, F(1, 2)), (1, F(1, 2)))),
+        policy=((2, 2), (2, 2)),
+    )
+    with pytest.raises(ValueError, match=r"row 0 .*int64 limit 2\^63"):
+        stationary(chain)
+
+
 @pytest.mark.parametrize("bases", [(2,), (3, 2), (7, 5, 3, 2)])
 def test_poor_float_inverse_raises_instead_of_returning(monkeypatch, bases):
     monkeypatch.setattr(markov, "_stationary_cache", {})

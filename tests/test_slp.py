@@ -247,7 +247,7 @@ def test_random_programs_reach_every_walk_path():
         assert facts.passes is passes_oracle(prog)
         widths.add(facts.bits)
         scanned += facts.decodes > 0
-    assert {16, 32, 64} < widths
+    assert {8, 16, 32, 64} < widths
     assert max(widths) > 64
     assert scanned > 100
 
@@ -257,7 +257,44 @@ def test_oracle_facts_report_width_past_64_bits():
     facts = oracle_facts(b.finish(s, 129))
     assert not facts.passes and facts.bits > 64
     facts = oracle_facts(plan(4096, "auto").program)
-    assert facts.passes and facts.bits == 16
+    assert facts.passes and facts.bits == 8
+
+
+def test_oracle_facts_count_abandoned_widths():
+    # (1 + x)^128 overflows 8, 16, 32 and 64 bits before its bound width
+    b, s = _squared(7)
+    assert oracle_facts(b.finish(s, 129)).retries == 4
+    rng = random.Random(6)
+    retried = 0
+    for _ in range(3000):
+        facts = oracle_facts(_random_program(rng))
+        # each retry abandons the next fast width; after all four the
+        # width comes from the bound rules and may be any byte multiple
+        assert facts.retries == 4 or facts.bits == (8, 16, 32, 64)[facts.retries]
+        retried += facts.retries > 0
+    assert retried > 0
+
+
+def _packed(coeffs: list[int]) -> int:
+    return sum(c << (8 * i) for i, c in enumerate(coeffs))
+
+
+def test_byte_scan_matches_decoded_coefficients():
+    rng = random.Random(10)
+    for _ in range(600):
+        length = rng.randint(1, 300)
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeffs = [0] * length
+        else:
+            coeffs = [rng.choice((-1, 0, 0, 1)) for _ in range(length)]
+        if kind == 2:
+            # one digit outside {-1, 0, 1} sends the scan to numpy
+            coeffs[rng.randrange(length)] = rng.choice((-1, 1)) * rng.randint(2, 63)
+        v = _packed(coeffs)
+        assert slp._coefficients(v, length, 8) == coeffs
+        want = (max(map(abs, coeffs)), sum(1 for c in coeffs if c))
+        assert slp._stats(v, length, 8) == want
 
 
 def test_width_past_64_bits_follows_the_l1_bound():
@@ -268,9 +305,9 @@ def test_width_past_64_bits_follows_the_l1_bound():
     assert not facts.passes and facts.bits == 1032
 
 
-def test_next_power_rewrites_stay_at_16_bit_digits():
+def test_next_power_rewrites_stay_at_8_bit_digits():
     # x^P = f(P)(x - 1) + 1 and f(3P) = f(P)(1 + x^P + x^2P): the
-    # bound rules compound past 2^14 while every true coefficient is 0 or 1
+    # bound rules compound past 2^6 while every true coefficient is 0 or 1
     b = ProgramBuilder()
     one = b.one()
     x_minus_1 = b.sub(b.input(), one)
@@ -281,7 +318,7 @@ def test_next_power_rewrites_stay_at_16_bit_digits():
         power = b.add(b.mul(f, x_minus_1), one)
     prog = b.finish(f, 3**7)
     facts = oracle_facts(prog)
-    assert facts.passes and facts.bits == 16 and facts.decodes > 0
+    assert facts.passes and facts.bits == 8 and facts.decodes > 0
     assert polynomial_of_register(prog, power) == DensePoly((0,) * 3**7 + (1,))
 
 
