@@ -19,9 +19,8 @@ symbolically to the all-ones coefficient vector of its length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 
-from .slp import ProgramBuilder, SlpProgram, from_json, mul_count, to_json
+from .slp import ProgramBuilder, SlpProgram, mul_count
 
 TABLE1 = "TABLE1"
 TABLE1_CORRECTED = "TABLE1_CORRECTED"
@@ -33,28 +32,6 @@ SMALL_SIZES = (2, 3, 5, 7, 11)
 MAX_RECURRENCE_LEVEL = 6
 # y(0) = 1, y(n) = y(n-1)^2 + 1
 RECURRENCE_SIZES = (1, 2, 5, 26, 677, 458330, 210066388901)
-
-
-@dataclass(frozen=True)
-class RecurrenceIndex:
-    """A level of the squared-plus-one size sequence."""
-
-    n: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.n <= MAX_RECURRENCE_LEVEL):
-            raise ValueError(f"recurrence level {self.n} outside [0, {MAX_RECURRENCE_LEVEL}]")
-        if self.value != RECURRENCE_SIZES[self.n]:
-            raise ValueError(
-                f"level {self.n} has size {RECURRENCE_SIZES[self.n]}, not {self.value}"
-            )
-
-    @classmethod
-    def from_level(cls, n: int) -> "RecurrenceIndex":
-        if not (0 <= n <= MAX_RECURRENCE_LEVEL):
-            raise ValueError(f"recurrence level {n} outside [0, {MAX_RECURRENCE_LEVEL}]")
-        return cls(n, RECURRENCE_SIZES[n])
 
 
 @dataclass
@@ -217,22 +194,21 @@ def binary_chain(n: int) -> ChainEntry:
     return _finish_entry(n, pieces, b, BINARY_RULE)
 
 
-def recurrence_chain(n: int | RecurrenceIndex) -> ChainEntry:
+def recurrence_chain(n: int) -> ChainEntry:
     """Chain for size y(n) with exactly 2^n - 2 multiplications, n <= 6.
 
     Level 0 is the degenerate size-1 series (the constant 1), the identity
     element for plan composition.  Sizes beyond level 6 have no practical
     evaluation use; they are covered analytically elsewhere.
     """
-    level = n.n if isinstance(n, RecurrenceIndex) else n
-    if not (0 <= level <= MAX_RECURRENCE_LEVEL):
-        raise ValueError(f"recurrence level {level} outside [0, {MAX_RECURRENCE_LEVEL}]")
+    if not (0 <= n <= MAX_RECURRENCE_LEVEL):
+        raise ValueError(f"recurrence level {n} outside [0, {MAX_RECURRENCE_LEVEL}]")
     b = ProgramBuilder()
-    if level == 0:
+    if n == 0:
         pieces = _emit_f1(b, b.input())
     else:
-        pieces = emit_recurrence(b, b.input(), level)
-    return _finish_entry(RECURRENCE_SIZES[level], pieces, b, RECURRENCE)
+        pieces = emit_recurrence(b, b.input(), n)
+    return _finish_entry(RECURRENCE_SIZES[n], pieces, b, RECURRENCE)
 
 
 def flawed_length11_chain() -> SlpProgram:
@@ -267,25 +243,6 @@ def flawed_length26_chain() -> SlpProgram:
     return b.finish(t, 26)
 
 
-def chain_to_json(entry: ChainEntry) -> str:
-    """Program JSON plus a provenance tag; round-trips bit-exactly."""
-    doc = json.loads(to_json(entry.program))
-    doc["provenance"] = entry.provenance
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def chain_from_json(text: str) -> ChainEntry:
-    doc = json.loads(text)
-    provenance = doc.pop("provenance")
-    program = from_json(json.dumps(doc))
-    return ChainEntry(
-        size=program.series_length,
-        program=program,
-        muls=program.declared_muls,
-        provenance=provenance,
-    )
-
-
 __all__ = [
     "TABLE1",
     "TABLE1_CORRECTED",
@@ -294,7 +251,6 @@ __all__ = [
     "SMALL_SIZES",
     "MAX_RECURRENCE_LEVEL",
     "RECURRENCE_SIZES",
-    "RecurrenceIndex",
     "ChainPieces",
     "ChainEntry",
     "chain_for_small",
@@ -305,6 +261,4 @@ __all__ = [
     "emit_recurrence",
     "flawed_length11_chain",
     "flawed_length26_chain",
-    "chain_to_json",
-    "chain_from_json",
 ]

@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import asymptotic, chains, linalg, markov
 from .linalg import plan_digest
 from .planner import (
-    AutoPlanner,
     PlanReport,
     Strategy,
     default_cost_model,
@@ -98,20 +97,16 @@ def _parse_strategies(items) -> list[Strategy]:
 
 def cmd_verify(args) -> int:
     strategies = _parse_strategies(args.strategy)
-    planner = AutoPlanner()
     failures: list[dict] = []
     rows: list[dict] = []
     checked = 0
     max_bits = decodes = retries = 0
     for n in range(args.min, args.max + 1):
         for strat in strategies:
-            if strat.kind == "auto":
-                rep = planner.plan(n)
-            else:
-                try:
-                    rep = build_plan(n, strat)
-                except ValueError:
-                    continue  # strategy not applicable at this length
+            try:
+                rep = build_plan(n, strat)
+            except ValueError:
+                continue  # strategy not applicable at this length
             checked += 1
             ok, bits, scans, abandoned = oracle_facts(rep.program)
             max_bits = max(max_bits, bits)
@@ -176,12 +171,11 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     strategies = _parse_strategies(args.strategy)
-    planner = AutoPlanner()
     rows = []
     for n in range(args.min, args.max + 1):
         for strat in strategies:
             try:
-                rep = planner.plan(n) if strat.kind == "auto" else build_plan(n, strat)
+                rep = build_plan(n, strat)
             except ValueError:
                 continue
             try:
@@ -206,6 +200,12 @@ def cmd_count(args) -> int:
 
 def _parse_bases(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p)
+
+
+def _sample_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"need an integer >= 2, got {text!r}")
+    return int(text)
 
 
 def cmd_markov(args) -> int:
@@ -278,13 +278,9 @@ def cmd_asymptotic(args) -> int:
 
 def cmd_invert(args) -> int:
     a = linalg.load_matrix(args.matrix)
-    try:
-        a_hat, rep = linalg.neumann_invert(
-            a, args.terms, strategy=args.strategy, allow_divergent=args.allow_divergent
-        )
-    except linalg.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    a_hat, rep = linalg.neumann_invert(
+        a, args.terms, strategy=args.strategy, allow_divergent=args.allow_divergent
+    )
     if args.out:
         linalg.save_matrix(args.out, a_hat)
     doc = {
@@ -375,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("markov", help="stationary analysis of mixed-base policies")
     p.add_argument("--bases", action="append", required=True, help="e.g. 11,7,5,3,2 (repeatable)")
     p.add_argument("--modulus", type=int, help="override the residue modulus (sensitivity checks)")
-    p.add_argument("--empirical", type=int, metavar="SAMPLES", help="add a Monte-Carlo column")
+    p.add_argument(
+        "--empirical", type=_sample_count, metavar="SAMPLES", help="add a Monte-Carlo column"
+    )
     p.add_argument("--nmin", type=int, default=10**3)
     p.add_argument("--nmax", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
@@ -420,7 +418,18 @@ def main(argv=None) -> int:
         parser.error(
             f"{args.command}: need 1 <= --min <= --max, got --min {args.min} --max {args.max}"
         )
-    return args.func(args)
+    # Exit 1: a result that could not be certified.  Exit 2: bad input.
+    # ConvergenceError is a ValueError, so it is caught first.  Anything
+    # else, AssertionError included, is a bug and keeps its traceback.  The
+    # message is printed on one line.
+    try:
+        return args.func(args)
+    except (linalg.ConvergenceError, ArithmeticError) as exc:
+        status, message = 1, str(exc)
+    except (ValueError, OSError) as exc:
+        status, message = 2, str(exc)
+    print(f"geomseries {args.command}: error: {' '.join(message.split())}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import AutoPlanner, plan as build_plan
+from .planner import plan as build_plan
 from .slp import ADD, INPUT, MUL, ONE, SUB, SlpProgram, to_json
 
 
@@ -342,7 +342,6 @@ def bench(
     terms_list,
     replicates: int = 100,
     seed: int = 0,
-    planner: AutoPlanner | None = None,
 ) -> list[BenchCell]:
     """Direct (nested) vs fast (auto-planned) inversion timings.
 
@@ -352,14 +351,13 @@ def bench(
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    planner = planner or AutoPlanner()
     cells = []
     for size in sizes:
         a = random_test_matrix(size, seed=seed * 100003 + size)
         b = _identity_minus(a)
         for terms in terms_list:
             direct = build_plan(terms, "direct")
-            fast = planner.plan(terms)
+            fast = build_plan(terms, "auto")
             d_out, d_muls, _ = evaluate(direct.program, b)  # warm-up
             f_out, f_muls, _ = evaluate(fast.program, b)
             times = np.empty((2, replicates))

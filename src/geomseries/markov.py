@@ -114,8 +114,8 @@ def build_chain(
     table = (model or default_cost_model()).mixed_table(bases)
     m = table.modulus
     if modulus is not None:
-        if modulus % m != 0:
-            raise ValueError(f"modulus must be a multiple of {m}")
+        if modulus < 1 or modulus % m != 0:
+            raise ValueError(f"modulus must be a positive multiple of {m}, got {modulus}")
         m = modulus
     rows = []
     policy = []
@@ -424,7 +424,10 @@ def empirical_coefficient_stats(
     """(mean, standard error) of (muls + 2) / log2(N) over uniform N.
 
     Sequential and fully determined by the seed, so results do not depend
-    on the host's thread count.
+    on the host's thread count.  The mean carries a deterministic
+    O(1/log N) finite-size offset (the terminal chain is cheaper than the
+    asymptotic rate), so it agrees with the stationary coefficient to a
+    few percent of a unit; empirical_slope_stats removes the offset.
     """
     lo, hi = n_range
     if not (2 <= lo <= hi):
@@ -442,23 +445,6 @@ def empirical_coefficient_stats(
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
     return mean, math.sqrt(var / len(vals))
-
-
-def empirical_coefficient(
-    bases: tuple[int, ...],
-    sample_count: int,
-    n_range: tuple[int, int],
-    seed: int,
-    model: CostModel | None = None,
-) -> float:
-    """Monte-Carlo estimate of the mixed-policy coefficient; checks stationary().
-
-    Carries a deterministic O(1/log N) finite-size offset (the terminal
-    chain is cheaper than the asymptotic rate), so expect agreement with
-    the analytic coefficient at the few-percent-of-a-unit level, not at
-    the sampling-noise level; empirical_slope_stats removes the offset.
-    """
-    return empirical_coefficient_stats(bases, sample_count, n_range, seed, model)[0]
 
 
 def empirical_slope_stats(
@@ -507,7 +493,6 @@ __all__ = [
     "ReducibleChainError",
     "build_chain",
     "stationary",
-    "empirical_coefficient",
     "empirical_coefficient_stats",
     "empirical_slope_stats",
 ]

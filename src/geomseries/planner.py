@@ -34,8 +34,9 @@ Strategies:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .chains import (
@@ -175,6 +176,34 @@ def _emit_reduction_level(
     return _ReductionLevel(b.mul(t, shift), prefix, power)
 
 
+# Entries one _Memo holds.  The memos live on the process-wide default
+# model, so they must not grow with every length ever planned; 8192 keeps
+# every length up to 4096 together with all of its divisors.
+MEMO_CAP = 8192
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first lookup.
+
+    It holds at most MEMO_CAP entries and evicts the oldest first.  Every
+    value is a pure function of its key, so an evicted entry comes back
+    identical, and threads that fill the same key agree.
+    """
+
+    def __init__(self, fill: Callable[[int], object]) -> None:
+        super().__init__()
+        self.fill = fill
+        self._lock = threading.Lock()
+
+    def __missing__(self, key: int):
+        got = self.fill(key)
+        with self._lock:
+            if len(self) >= MEMO_CAP:
+                del self[next(iter(self))]
+            self[key] = got
+        return got
+
+
 class CostModel:
     """Multiplications charged per reduction level, derived mechanically.
 
@@ -183,7 +212,10 @@ class CostModel:
     pins the base-2 and base-3 values: cost(2, *) = 2, cost(3, 0) =
     cost(3, 1) = 3, cost(3, 2) = 4.  ``terminal_credit`` is the pair of
     multiplications (power + join) the last level never spends.  The
-    model also keeps one lazily filled ``mixed_table`` per bases set.
+    model also keeps one lazily filled ``mixed_table`` per bases set and
+    the factor-split memo ``splits``: ``splits[n]`` is the (muls,
+    decision) of the cheapest plan for length n that the dynamic program
+    over factor splits finds.
     """
 
     terminal_credit = 2
@@ -191,6 +223,7 @@ class CostModel:
     def __init__(self) -> None:
         self._cache: dict[tuple[int, int], int] = {}
         self._tables: dict[tuple[int, ...], MixedTable] = {}
+        self.splits = _Memo(self._best_split)
 
     def cost(self, base: int, residue: int) -> int:
         if base < 2:
@@ -216,6 +249,28 @@ class CostModel:
         if got is None:
             got = self._tables[key] = MixedTable(key, self)
         return got
+
+    def _best_split(self, n: int) -> tuple[int, tuple]:
+        """Cheapest of the length's leaves and its splits k * (n / k).
+
+        The leaves are the built-in chain (the parity rule wherever no
+        hand-tuned chain exists, so the result is never worse than it)
+        and the recurrence chain of that size; each is counted off a
+        scratch emission.  A split spends both halves, a power and a join.
+        """
+        chain = _emitted_muls(lambda b, x: emit_series_chain(b, x, n))
+        candidates: list[tuple[int, int, tuple]] = [(chain, 0, ("chain",))]
+        for level in range(1, MAX_RECURRENCE_LEVEL + 1):
+            if RECURRENCE_SIZES[level] == n:
+                muls = _emitted_muls(lambda b, x: emit_recurrence(b, x, level))
+                candidates.append((muls, 1, ("recurrence", level)))
+        for k in range(2, math.isqrt(n) + 1):
+            if n % k == 0:
+                left, _ = self.splits[k]
+                right, _ = self.splits[n // k]
+                candidates.append((left + right + 2, 2, ("split", k)))
+        muls, _, decision = min(candidates, key=lambda c: (c[0], c[1], c[2]))
+        return muls, decision
 
 
 @lru_cache(maxsize=1)
@@ -302,18 +357,6 @@ def plan_mixed(
     )
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
-
-    def __init__(self, fill: Callable[[int], object]) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key: int):
-        got = self[key] = self.fill(key)
-        return got
-
-
 class MixedTable:
     """The mixed policy's levels for one bases set, filled one entry at a time.
 
@@ -329,6 +372,7 @@ class MixedTable:
     def __init__(self, bases: tuple[int, ...], model: CostModel) -> None:
         if not bases or min(bases) < 2:
             raise ValueError("mixed bases must be integers >= 2")
+        self.bases, self.model = bases, model
         self.modulus = math.lcm(*bases)
         self.threshold = max(2 * max(bases), max(TERMINAL_SIZES) + 1)
 
@@ -348,6 +392,13 @@ class MixedTable:
             total += cost
             n //= base
         return total + self.tails[n]
+
+    @cached_property
+    def coefficient(self) -> float:
+        """Multiplications per bit of this policy, from its residue chain."""
+        from . import markov
+
+        return markov.stationary(markov.build_chain(self.bases, self.model)).coefficient
 
 
 def mixed_mul_count(
@@ -494,45 +545,19 @@ def _prime_power_form(n: int) -> tuple[int, int] | None:
 
 
 class AutoPlanner:
-    """Cheapest-of-all-strategies planner with a shared factor-split memo.
+    """Cheapest-of-all-strategies planner over one cost model.
 
-    The dynamic program's leaves are the length's built-in chain (the
-    parity rule wherever no hand-tuned chain exists, so the planner is
-    never worse than it) and the recurrence chain of that size; each
-    leaf is counted once, off a scratch emission.  The memo is only read
-    and extended with idempotent values, so concurrent use returns
-    identical results; use one instance per sweep for speed, or the
-    module-level helper for one-off calls.
+    It holds no state but ``model``.  The factor-split memo it reads
+    lives on the model, so every planner over the same model shares it;
+    the memo is filled with values that depend only on the length and
+    the model, so concurrent use returns identical results.
     """
 
     def __init__(self, model: CostModel | None = None) -> None:
         self.model = model or default_cost_model()
-        self._dp: dict[int, tuple[int, tuple]] = {}
-
-    # -- dynamic program over factor splits ------------------------------
-
-    def _dp_best(self, n: int) -> tuple[int, tuple]:
-        got = self._dp.get(n)
-        if got is not None:
-            return got
-        chain = _emitted_muls(lambda b, x: emit_series_chain(b, x, n))
-        candidates: list[tuple[int, int, tuple]] = [(chain, 0, ("chain",))]
-        for level in range(1, MAX_RECURRENCE_LEVEL + 1):
-            if RECURRENCE_SIZES[level] == n:
-                muls = _emitted_muls(lambda b, x: emit_recurrence(b, x, level))
-                candidates.append((muls, 1, ("recurrence", level)))
-        for k in range(2, math.isqrt(n) + 1):
-            if n % k == 0:
-                left, _ = self._dp_best(k)
-                right, _ = self._dp_best(n // k)
-                candidates.append((left + right + 2, 2, ("split", k)))
-        muls, _, decision = min(candidates, key=lambda c: (c[0], c[1], c[2]))
-        best = (muls, decision)
-        self._dp[n] = best
-        return best
 
     def _dp_build(self, b: ProgramBuilder, x: int, n: int) -> int:
-        _, decision = self._dp_best(n)
+        _, decision = self.model.splits[n]
         if decision[0] == "chain":
             return emit_series_chain(b, x, n).value
         if decision[0] == "recurrence":
@@ -543,8 +568,6 @@ class AutoPlanner:
         power = b.add(b.mul(left, s), b.one())
         right = self._dp_build(b, power, n // k)
         return b.mul(left, right)
-
-    # -- candidate selection ---------------------------------------------
 
     def plan(self, n: int) -> PlanReport:
         if n < 1:
@@ -569,7 +592,7 @@ class AutoPlanner:
         if rec_options:
             candidates.append((min(rec_options)[0], 1, "recurrence"))
         candidates.append((mixed_mul_count(n, DEFAULT_MIXED_BASES, self.model), 2, "mixed"))
-        candidates.append((self._dp_best(n)[0], 3, "factor"))
+        candidates.append((self.model.splits[n][0], 3, "factor"))
         muls, _, winner = min(candidates, key=lambda c: (c[0], c[1]))
 
         if winner == "prime_power":
@@ -606,9 +629,8 @@ class AutoPlanner:
         )
 
 
-def plan_auto(n: int, model: CostModel | None = None, planner: AutoPlanner | None = None) -> PlanReport:
-    planner = planner or AutoPlanner(model)
-    return planner.plan(n)
+def plan_auto(n: int, model: CostModel | None = None) -> PlanReport:
+    return AutoPlanner(model).plan(n)
 
 
 def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = None) -> PlanReport:
@@ -654,19 +676,9 @@ def _with_predicted(rep: PlanReport) -> PlanReport:
     )
 
 
-_mixed_coefficient_cache: dict[tuple[int, ...], float] = {}
-
-
 def mixed_asymptotic_coefficient(bases: tuple[int, ...]) -> float:
     """Multiplications per bit for the mixed policy, from its residue chain."""
-    key = tuple(bases)
-    got = _mixed_coefficient_cache.get(key)
-    if got is None:
-        from . import markov
-
-        got = markov.stationary(markov.build_chain(key)).coefficient
-        _mixed_coefficient_cache[key] = got
-    return got
+    return default_cost_model().mixed_table(tuple(bases)).coefficient
 
 
 def predicted_cost(strategy: Strategy | str, n: int) -> float:

@@ -571,45 +571,6 @@ def horner_program(n: int) -> SlpProgram:
     return b.finish(acc, n)
 
 
-def eliminate_dead_code(program: SlpProgram) -> SlpProgram:
-    """Drop registers unreachable from the output.
-
-    The INPUT register is always kept (a program declares its input even
-    when the value is constant).  Emitters are expected to be tight: this
-    pass never changes the multiplication count of shipped plans.
-    """
-    live = set()
-    stack = [program.output]
-    while stack:
-        i = stack.pop()
-        if i in live:
-            continue
-        live.add(i)
-        ins = program.instrs[i]
-        if ins.op in _BINARY_OPS:
-            stack.append(ins.a)
-            stack.append(ins.b)
-    for i, ins in enumerate(program.instrs):
-        if ins.op == INPUT:
-            live.add(i)
-    keep = sorted(live)
-    remap = {old: new for new, old in enumerate(keep)}
-    instrs = []
-    for old in keep:
-        ins = program.instrs[old]
-        if ins.op in _BINARY_OPS:
-            instrs.append(Instr(ins.op, remap[ins.a], remap[ins.b]))
-        else:
-            instrs.append(ins)
-    out = tuple(instrs)
-    return SlpProgram(
-        out,
-        remap[program.output],
-        program.series_length,
-        sum(1 for ins in out if ins.op == MUL),
-    )
-
-
 PROGRAM_FORMAT_VERSION = 1
 
 
@@ -680,7 +641,6 @@ __all__ = [
     "validate",
     "horner_reference",
     "horner_program",
-    "eliminate_dead_code",
     "to_json",
     "from_json",
     "PROGRAM_FORMAT_VERSION",

@@ -5,7 +5,7 @@ from geomseries.planner import AutoPlanner
 
 @pytest.fixture(scope="session")
 def auto_planner():
-    # shared factor-split memo; reads are idempotent so sharing is safe
+    # stateless: the factor-split memo lives on the default cost model
     return AutoPlanner()
 
 

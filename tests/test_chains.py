@@ -9,11 +9,8 @@ from geomseries.chains import (
     SMALL_SIZES,
     TABLE1,
     TABLE1_CORRECTED,
-    RecurrenceIndex,
     binary_chain,
     chain_for_small,
-    chain_from_json,
-    chain_to_json,
     flawed_length11_chain,
     flawed_length26_chain,
     recurrence_chain,
@@ -113,14 +110,6 @@ def test_recurrence_sizes_prefix():
     )
 
 
-def test_recurrence_index_validation():
-    assert RecurrenceIndex.from_level(3).value == 26
-    with pytest.raises(ValueError):
-        RecurrenceIndex(2, 6)
-    with pytest.raises(ValueError):
-        RecurrenceIndex.from_level(7)
-
-
 def test_recurrence_chain_counts_are_two_to_n_minus_two():
     for n in range(1, 7):
         entry = recurrence_chain(n)
@@ -194,15 +183,3 @@ def test_corrected_counterparts_pass_with_same_counts():
     assert passes_oracle(chain_for_small(11).program)
     assert recurrence_chain(3).muls == 6
     assert passes_oracle(recurrence_chain(3).program)
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def test_chain_json_round_trip_keeps_provenance():
-    for entry in (chain_for_small(11), binary_chain(20), recurrence_chain(2)):
-        text = chain_to_json(entry)
-        again = chain_from_json(text)
-        assert again.program == entry.program
-        assert again.provenance == entry.provenance
-        assert chain_to_json(again) == text

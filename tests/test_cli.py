@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from geomseries import linalg
+from geomseries import linalg, markov
 from geomseries.cli import main
 from geomseries.planner import plan
 from geomseries.slp import from_json, mul_count, passes_oracle
@@ -264,3 +264,74 @@ def test_bench_csv_shape(capsys):
     assert [c[0] for c in cells] == ["16", "16"]
     assert [c[2] for c in cells] == ["3", "6"]
     assert [c[3] for c in cells] == ["2", "4"]
+
+
+# Bad input exits 2 and a result that cannot be certified exits 1, each
+# with one stderr line naming the command.  The files live in tmp_path.
+MALFORMED = [
+    (("plan", "--n", "0"), 2),
+    (("plan", "--n", "5", "--strategy", "bogus"), 2),
+    (("plan", "--n", "10", "--strategy", "prime:3"), 2),
+    (("plan", "--n", "10", "--strategy", "mixed:2,2"), 2),
+    (("plan", "--n", "5", "--out", "no-such-dir/plan.json"), 2),
+    (("verify", "--min", "1", "--max", "5", "--strategy", "bogus"), 2),
+    (("count", "--min", "1", "--max", "5", "--strategy", "prime:x"), 2),
+    (("markov", "--bases", "x"), 2),
+    (("markov", "--bases", "2,2"), 2),
+    (("markov", "--bases", "3,2", "--modulus", "0"), 2),
+    (("markov", "--bases", "3,2", "--modulus", "7"), 2),
+    (("markov", "--bases", "3,2", "--empirical", "0"), 2),
+    (("markov", "--bases", "3,2", "--empirical", "1"), 2),
+    (("markov", "--bases", "3,2", "--empirical", "5", "--nmin", "1"), 2),
+    (("asymptotic", "--digits", "0"), 2),
+    (("asymptotic", "--floor-levels", "-1"), 2),
+    (("invert", "missing.csv", "--terms", "5"), 2),
+    (("invert", "ragged.csv", "--terms", "5"), 2),
+    (("invert", "nan.csv", "--terms", "5"), 2),
+    (("invert", "text.csv", "--terms", "5"), 2),
+    (("invert", "empty.csv", "--terms", "5"), 2),
+    (("invert", "truncated.bin", "--terms", "5"), 2),
+    (("invert", "ok.csv", "--terms", "0"), 2),
+    (("invert", "ok.csv", "--terms", "5", "--strategy", "bogus"), 2),
+    (("invert", "hot.csv", "--terms", "5"), 1),
+    (("bench", "--sizes", "a"), 2),
+    (("bench", "--sizes", "4", "--terms", "5", "--replicates", "0"), 2),
+    (("bench", "--sizes", "0", "--terms", "5", "--replicates", "1"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", MALFORMED, ids=[" ".join(argv) for argv, _ in MALFORMED])
+def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ragged.csv").write_text("1,2\n3\n")
+    (tmp_path / "nan.csv").write_text("0.5,nan\n0,0.5\n")
+    (tmp_path / "text.csv").write_text("a,b\nc,d\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "truncated.bin").write_bytes(b"GSMX\x01\x00")
+    linalg.save_matrix_csv("ok.csv", np.array([[0.5, 0.0], [0.0, 0.5]]))
+    linalg.save_matrix_csv("hot.csv", np.array([[3.0]]))
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:  # rejected by argparse itself
+        got = exc.code
+    assert got == code
+    captured = capsys.readouterr()
+    usage, _, message = captured.err.rpartition(f"geomseries {argv[0]}: error: ")
+    assert message.strip() and message.count("\n") == 1 and message.endswith("\n")
+    assert usage == "" or usage.startswith("usage: ")  # argparse prints its usage first
+    assert "Traceback" not in captured.err
+
+
+def test_failed_certificate_exits_1_and_a_bug_keeps_its_traceback(monkeypatch, capsys):
+    def raising(exc):
+        def stationary(chain):
+            raise exc
+
+        return stationary
+
+    monkeypatch.setattr(markov, "stationary", raising(ArithmeticError("no fixed point")))
+    assert main(["markov", "--bases", "3,2"]) == 1
+    assert capsys.readouterr().err == "geomseries markov: error: no fixed point\n"
+    monkeypatch.setattr(markov, "stationary", raising(AssertionError("a bug")))
+    with pytest.raises(AssertionError, match="a bug"):
+        main(["markov", "--bases", "3,2"])

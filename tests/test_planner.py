@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -255,10 +256,30 @@ def test_auto_oracle_sweep_medium(auto_planner):
 
 
 def test_auto_identical_results_across_threads():
-    planner = AutoPlanner()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        counts = list(pool.map(lambda _: planner.plan(600).muls, range(16)))
-    assert len(set(counts)) == 1
+    # a fresh model, so the threads fill its factor-split memo concurrently
+    planner = AutoPlanner(CostModel())
+    lengths = [n for n in range(590, 611) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda n: plan_digest(planner.plan(n).program), lengths))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [plan_digest(plan(n, "auto").program) for n in lengths]
+
+
+def test_factor_memo_stays_within_its_cap(monkeypatch):
+    lengths = range(1, 301)
+    expected = [plan_digest(plan(n, "auto").program) for n in lengths]
+    monkeypatch.setattr("geomseries.planner.MEMO_CAP", 16)
+    model = CostModel()
+    got = []
+    for n in lengths:
+        got.append(plan_digest(plan(n, "auto", model).program))
+        assert len(model.splits) <= 16
+    assert len(model.splits) == 16  # the sweep went past the cap
+    assert got == expected
 
 
 def test_plan_dispatch_and_labels():

@@ -20,7 +20,6 @@ from geomseries.slp import (
     ProgramBuilder,
     ProgramError,
     SlpProgram,
-    eliminate_dead_code,
     eval_poly_oracle,
     evaluate,
     evaluate_mod,
@@ -406,25 +405,6 @@ def test_builder_rejects_out_of_range_operand():
     b = ProgramBuilder()
     with pytest.raises(ProgramError):
         b.add(0, 7)
-
-
-def test_dead_code_elimination_preserves_value_and_keeps_input():
-    b = ProgramBuilder()
-    x = b.input()
-    y = b.mul(x, x)
-    b.mul(y, y)  # dead
-    out = b.add(b.one(), x)
-    prog = b.finish(out, 2)
-    lean = eliminate_dead_code(prog)
-    assert len(lean.instrs) < len(prog.instrs)
-    assert eval_poly_oracle(lean) == eval_poly_oracle(prog)
-    assert sum(1 for i in lean.instrs if i.op == INPUT) == 1
-
-
-def test_dead_code_elimination_never_changes_emitted_plan_counts():
-    for n in (1, 2, 17, 90, 343):
-        prog = plan(n, "auto").program
-        assert eliminate_dead_code(prog).declared_muls == prog.declared_muls
 
 
 # -- serialization ------------------------------------------------------------
