@@ -203,9 +203,10 @@ def _parse_bases(text: str) -> tuple[int, ...]:
 
 
 def _sample_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 2:
+    n = int(text)
+    if n < 2:
         raise argparse.ArgumentTypeError(f"need an integer >= 2, got {text!r}")
-    return int(text)
+    return n
 
 
 def cmd_markov(args) -> int:
@@ -418,13 +419,13 @@ def main(argv=None) -> int:
         parser.error(
             f"{args.command}: need 1 <= --min <= --max, got --min {args.min} --max {args.max}"
         )
-    # Exit 1: a result that could not be certified.  Exit 2: bad input.
-    # ConvergenceError is a ValueError, so it is caught first.  Anything
-    # else, AssertionError included, is a bug and keeps its traceback.  The
-    # message is printed on one line.
+    # Exit 1: a result that could not be certified.  Exit 2: bad input,
+    # which is any ValueError or OSError.  ConvergenceError is a
+    # ValueError, so it is caught first.  Anything else is a bug and keeps
+    # its traceback.  The message is printed on one line.
     try:
         return args.func(args)
-    except (linalg.ConvergenceError, ArithmeticError) as exc:
+    except (linalg.ConvergenceError, markov.CertificationError) as exc:
         status, message = 1, str(exc)
     except (ValueError, OSError) as exc:
         status, message = 2, str(exc)

@@ -31,6 +31,10 @@ import numpy as np
 from .planner import CostModel, default_cost_model
 
 
+class CertificationError(ArithmeticError):
+    """The stationary refinement could not certify an exact fixed point."""
+
+
 class ReducibleChainError(ValueError):
     """The chain has several closed classes; no unique stationary distribution."""
 
@@ -306,7 +310,7 @@ def _refine_solve(
     COO triples; value <- 2^s value + c keeps A value = 2^bits e_last - r.
     s is capped so that 2^s r and A c stay below 2^62: int64 wraps silently.
     A step that gains no bit or does not halve r, up to the rounding term
-    max_t sum_j |A_tj| / 2, raises ArithmeticError.  Each time the bits grow
+    max_t sum_j |A_tj| / 2, raises CertificationError.  Each time the bits grow
     by _CHECKPOINT_GROWTH a common denominator is reconstructed; only an
     exact fixed point is returned.
     """
@@ -333,7 +337,7 @@ def _refine_solve(
             _INT64_ROOM - math.frexp(z_max)[1] - row_sum.bit_length(),
         )
         if s < 1:
-            raise ArithmeticError(
+            raise CertificationError(
                 f"stationary refinement step {step} gains no bit: float residual "
                 f"{est:.3g} of exact residual {r_max}, largest row sum {row_sum}"
             )
@@ -341,7 +345,7 @@ def _refine_solve(
         r = (r << s) - np.add.reduceat(vals * c[cols], starts)
         new_max = int(np.abs(r).max())
         if 2 * new_max > r_max + row_sum:
-            raise ArithmeticError(
+            raise CertificationError(
                 f"stationary refinement step {step}: exact residual {new_max} "
                 f"exceeds the bound {(r_max + row_sum) / 2} that {s} bits promise"
             )
@@ -354,7 +358,7 @@ def _refine_solve(
         candidate = _reconstruct(value, bits, scale, states, chain.modulus)
         if candidate is not None and _verify_fixed_point(chain, scales, *candidate):
             return (*candidate, SolverFacts(m, step, bits, attempts))
-    raise ArithmeticError(f"stationary refinement not certified in {_MAX_STEPS} steps ({bits} bits)")
+    raise CertificationError(f"stationary refinement not certified in {_MAX_STEPS} steps ({bits} bits)")
 
 
 _stationary_cache: dict[ResidueChain, StationaryResult] = {}
@@ -367,11 +371,11 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     the first row whose probabilities are not positive or do not sum to
     exactly 1, or whose common denominator is 2^63 or more (the int64
     limit), ReducibleChainError when more than one closed class exists,
-    and ArithmeticError naming the refinement step that failed when the
+    and CertificationError naming the refinement step that failed when the
     float inverse is too poor to refine.  In a seeded sweep of 20-state
     chains whose rows each have one common denominator of k bits,
     denominators below 2^56 solved; those from about 2^56 up to 2^63
-    raise ArithmeticError, which names the step (or the step limit).  The
+    raise CertificationError, which names the step (or the step limit).  The
     result is always checked to be an exact fixed point before being
     returned, and the last few results are cached per chain since large
     solves are expensive.

@@ -34,7 +34,6 @@ Strategies:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -176,30 +175,32 @@ def _emit_reduction_level(
     return _ReductionLevel(b.mul(t, shift), prefix, power)
 
 
-# Entries one _Memo holds.  The memos live on the process-wide default
-# model, so they must not grow with every length ever planned; 8192 keeps
-# every length up to 4096 together with all of its divisors.
-MEMO_CAP = 8192
+# Entries one _Memo keeps, about 11 MiB of factor splits.  The memos live
+# on the process-wide default model, so they must not grow with every
+# length ever planned.  An ascending sweep from 1 keeps the lengths up to
+# 2**16, which holds every proper divisor of a length up to 2**17, so
+# such a sweep plans each length once.
+MEMO_CAP = 2**16
 
 
 class _Memo(dict):
     """A dict that fills a missing key with ``fill(key)`` on first lookup.
 
-    It holds at most MEMO_CAP entries and evicts the oldest first.  Every
-    value is a pure function of its key, so an evicted entry comes back
-    identical, and threads that fill the same key agree.
+    Once it holds MEMO_CAP entries it stops storing and computes every
+    further miss afresh, so the keys it keeps are the first ones filled:
+    in an ascending sweep, the small divisors every later length reuses.
+    Threads that race past the cap may each store one more entry.  Every
+    value is a pure function of its key, so threads that fill the same key
+    agree.
     """
 
     def __init__(self, fill: Callable[[int], object]) -> None:
         super().__init__()
         self.fill = fill
-        self._lock = threading.Lock()
 
     def __missing__(self, key: int):
         got = self.fill(key)
-        with self._lock:
-            if len(self) >= MEMO_CAP:
-                del self[next(iter(self))]
+        if len(self) < MEMO_CAP:
             self[key] = got
         return got
 

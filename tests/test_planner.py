@@ -275,10 +275,14 @@ def test_factor_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr("geomseries.planner.MEMO_CAP", 16)
     model = CostModel()
     got = []
+    first_kept = None
     for n in lengths:
         got.append(plan_digest(plan(n, "auto", model).program))
         assert len(model.splits) <= 16
-    assert len(model.splits) == 16  # the sweep went past the cap
+        if first_kept is None and len(model.splits) == 16:
+            first_kept = dict(model.splits)
+    assert first_kept is not None  # the sweep went past the cap
+    assert model.splits == first_kept  # later lengths evict nothing
     assert got == expected
 
 
