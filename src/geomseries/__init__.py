@@ -7,12 +7,6 @@ oracle, analyzes reduction policies with exact Markov-chain arithmetic,
 and applies the plans to approximate dense-matrix inversion.
 """
 
-from .chains import (
-    ChainEntry,
-    binary_chain,
-    chain_for_small,
-    recurrence_chain,
-)
 from .linalg import (
     ConvergenceError,
     NeumannReport,
@@ -28,7 +22,6 @@ from .planner import (
     PlanReport,
     Strategy,
     plan,
-    plan_auto,
     plan_mixed,
     plan_prime_power,
     predicted_cost,
@@ -41,7 +34,6 @@ from .slp import (
     SlpProgram,
     eval_poly_oracle,
     evaluate,
-    horner_reference,
     mul_count,
     passes_oracle,
 )
@@ -49,10 +41,6 @@ from .slp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainEntry",
-    "binary_chain",
-    "chain_for_small",
-    "recurrence_chain",
     "ConvergenceError",
     "NeumannReport",
     "bench",
@@ -65,7 +53,6 @@ __all__ = [
     "PlanReport",
     "Strategy",
     "plan",
-    "plan_auto",
     "plan_mixed",
     "plan_prime_power",
     "predicted_cost",
@@ -76,7 +63,6 @@ __all__ = [
     "SlpProgram",
     "eval_poly_oracle",
     "evaluate",
-    "horner_reference",
     "mul_count",
     "passes_oracle",
     "__version__",

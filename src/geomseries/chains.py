@@ -1,5 +1,7 @@
-"""Verified low-multiplication chains for small series lengths.
+"""Chain emitters for small series lengths.
 
+Each emitter writes one chain onto a shared ProgramBuilder and returns
+the register holding the series, plus the powers it computed on the way.
 Three chain families are provided:
 
 * hand-tuned chains for lengths {2, 3, 5, 7, 11} (the length-11 entry is
@@ -12,22 +14,16 @@ Three chain families are provided:
   each size is the previous one squared plus one and the multiplication
   count merely doubles (2^n - 2 at level n).
 
-Every entry is oracle-checked by the test suite: its program expands
-symbolically to the all-ones coefficient vector of its length.
+Finished programs come from ``planner.plan``; the test suite oracle-checks
+every chain through it, so each expands symbolically to the all-ones
+coefficient vector of its length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .slp import ProgramBuilder, SlpProgram, mul_count
-
-TABLE1 = "TABLE1"
-TABLE1_CORRECTED = "TABLE1_CORRECTED"
-BINARY_RULE = "BINARY_RULE"
-RECURRENCE = "RECURRENCE"
-
-SMALL_SIZES = (2, 3, 5, 7, 11)
+from .slp import ProgramBuilder, SlpProgram
 
 MAX_RECURRENCE_LEVEL = 6
 # y(0) = 1, y(n) = y(n-1)^2 + 1
@@ -44,22 +40,6 @@ class ChainPieces:
 
     value: int
     powers: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ChainEntry:
-    """A finished, self-contained chain for one series length."""
-
-    size: int
-    program: SlpProgram
-    muls: int
-    provenance: str
-
-    def __post_init__(self) -> None:
-        if self.program.series_length != self.size:
-            raise ValueError("program length does not match chain size")
-        if self.muls != mul_count(self.program):
-            raise ValueError("recorded muls do not match the program")
 
 
 def _emit_f1(b: ProgramBuilder, x: int) -> ChainPieces:
@@ -108,6 +88,9 @@ _SMALL_EMITTERS = {
     7: _emit_f7,
     11: _emit_f11,
 }
+
+# Lengths with a hand-tuned chain; length 1 is the constant, not a chain.
+SMALL_SIZES = tuple(size for size in _SMALL_EMITTERS if size > 1)
 
 
 def emit_binary_rule(b: ProgramBuilder, x: int, n: int) -> ChainPieces:
@@ -167,50 +150,6 @@ def emit_recurrence(b: ProgramBuilder, x: int, level: int) -> ChainPieces:
     return ChainPieces(b.add(b.one(), t))
 
 
-def _finish_entry(size: int, pieces: ChainPieces, b: ProgramBuilder, provenance: str) -> ChainEntry:
-    program = b.finish(pieces.value, size)
-    return ChainEntry(size=size, program=program, muls=program.declared_muls, provenance=provenance)
-
-
-def chain_for_small(p: int) -> ChainEntry:
-    """Hand-tuned chain for p in {2, 3, 5, 7, 11}.
-
-    Raises ValueError for other sizes; callers fall back to binary_chain.
-    """
-    if p not in SMALL_SIZES:
-        raise ValueError(f"no built-in chain for size {p}; use binary_chain")
-    b = ProgramBuilder()
-    pieces = _SMALL_EMITTERS[p](b, b.input())
-    provenance = TABLE1_CORRECTED if p == 11 else TABLE1
-    return _finish_entry(p, pieces, b, provenance)
-
-
-def binary_chain(n: int) -> ChainEntry:
-    """Parity-rule chain for any n >= 2; never worse than n - 2 multiplications."""
-    if n < 2:
-        raise ValueError("length must be >= 2")
-    b = ProgramBuilder()
-    pieces = emit_binary_rule(b, b.input(), n)
-    return _finish_entry(n, pieces, b, BINARY_RULE)
-
-
-def recurrence_chain(n: int) -> ChainEntry:
-    """Chain for size y(n) with exactly 2^n - 2 multiplications, n <= 6.
-
-    Level 0 is the degenerate size-1 series (the constant 1), the identity
-    element for plan composition.  Sizes beyond level 6 have no practical
-    evaluation use; they are covered analytically elsewhere.
-    """
-    if not (0 <= n <= MAX_RECURRENCE_LEVEL):
-        raise ValueError(f"recurrence level {n} outside [0, {MAX_RECURRENCE_LEVEL}]")
-    b = ProgramBuilder()
-    if n == 0:
-        pieces = _emit_f1(b, b.input())
-    else:
-        pieces = emit_recurrence(b, b.input(), n)
-    return _finish_entry(RECURRENCE_SIZES[n], pieces, b, RECURRENCE)
-
-
 def flawed_length11_chain() -> SlpProgram:
     """A plausible-looking 4-multiplication plan for length 11 that is wrong.
 
@@ -231,7 +170,7 @@ def flawed_length26_chain() -> SlpProgram:
 
     Multiplies the full length-6 prefix into the product instead of the
     shifted one, so the expansion double-counts (it sums to 30 at x = 1).
-    The corrected construction is recurrence_chain(3).
+    The corrected construction is ``plan(26, "recurrence")``.
     """
     b = ProgramBuilder()
     x = b.input()
@@ -244,18 +183,10 @@ def flawed_length26_chain() -> SlpProgram:
 
 
 __all__ = [
-    "TABLE1",
-    "TABLE1_CORRECTED",
-    "BINARY_RULE",
-    "RECURRENCE",
     "SMALL_SIZES",
     "MAX_RECURRENCE_LEVEL",
     "RECURRENCE_SIZES",
     "ChainPieces",
-    "ChainEntry",
-    "chain_for_small",
-    "binary_chain",
-    "recurrence_chain",
     "emit_series_chain",
     "emit_binary_rule",
     "emit_recurrence",

@@ -198,8 +198,14 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _parse_bases(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p)
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        items = tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        items = ()
+    if not items:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers, got {text!r}")
+    return items
 
 
 def _sample_count(text: str) -> int:
@@ -212,8 +218,7 @@ def _sample_count(text: str) -> int:
 def cmd_markov(args) -> int:
     model = default_cost_model()
     rows = []
-    for spec_text in args.bases:
-        bases = _parse_bases(spec_text)
+    for bases in args.bases:
         chain = markov.build_chain(bases, model, modulus=args.modulus)
         result = markov.stationary(chain)
         row = {
@@ -311,9 +316,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = _parse_bases(args.sizes)
-    terms = _parse_bases(args.terms)
-    cells = linalg.bench(sizes, terms, replicates=args.replicates, seed=args.seed)
+    cells = linalg.bench(args.sizes, args.terms, replicates=args.replicates, seed=args.seed)
     lines = [
         "size,terms,direct_muls,fast_muls,fast_method,direct_mean_s,direct_std_s,"
         "direct_median_s,fast_mean_s,fast_std_s,fast_median_s,speedup,"
@@ -370,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("markov", help="stationary analysis of mixed-base policies")
-    p.add_argument("--bases", action="append", required=True, help="e.g. 11,7,5,3,2 (repeatable)")
+    p.add_argument(
+        "--bases", type=_int_list, action="append", required=True,
+        help="e.g. 11,7,5,3,2 (repeatable)",
+    )
     p.add_argument("--modulus", type=int, help="override the residue modulus (sensitivity checks)")
     p.add_argument(
         "--empirical", type=_sample_count, metavar="SAMPLES", help="add a Monte-Carlo column"
@@ -401,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("bench", help="direct vs fast inversion timings")
-    p.add_argument("--sizes", default="50,100,250,500")
-    p.add_argument("--terms", default="5,6,7,8,9")
+    p.add_argument("--sizes", type=_int_list, default="50,100,250,500")
+    p.add_argument("--terms", type=_int_list, default="5,6,7,8,9")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV destination (default stdout)")

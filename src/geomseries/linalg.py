@@ -270,8 +270,6 @@ def neumann_invert(
     *,
     strategy: str = "auto",
     allow_divergent: bool = False,
-    radius_max_iters: int = 200,
-    radius_tol: float = 1e-9,
 ) -> tuple[np.ndarray, NeumannReport]:
     """Approximate inverse from the length-``terms`` series plan at B = I - A.
 
@@ -296,7 +294,7 @@ def neumann_invert(
         )
     n = m.shape[0]
     b = _identity_minus(m)
-    rho = spectral_radius_estimate(b, radius_max_iters, radius_tol)
+    rho = spectral_radius_estimate(b)
     if rho.value >= 1.0 and not allow_divergent:
         raise ConvergenceError(
             f"estimated spectral radius of I - A is {rho.value:.6g} >= 1; "

@@ -13,8 +13,9 @@ is where the constant -2 in all the closed-form counts comes from: the
 last level needs neither a next power nor a join.
 
 Every plan is composed in one way: the chain emitters of ``chains`` and
-the reduction levels here write onto one shared ProgramBuilder.  The
-multiplication counts the planners compare are read off scratch
+the reduction levels here write onto one shared ProgramBuilder, and every
+factor split f(k * m, x) = f(k, x) * f(m, x^k) goes through ``_emit_split``.
+The multiplication counts the planners compare are read off scratch
 emissions of those same emitters, so no count is kept by hand.
 
 Strategies:
@@ -39,9 +40,9 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 from .chains import (
-    ChainPieces,
-    RECURRENCE_SIZES,
     MAX_RECURRENCE_LEVEL,
+    RECURRENCE_SIZES,
+    SMALL_SIZES,
     emit_recurrence,
     emit_series_chain,
 )
@@ -50,7 +51,7 @@ from .slp import MUL, ProgramBuilder, SlpProgram, horner_program
 DEFAULT_MIXED_BASES = (11, 7, 5, 3, 2)
 
 # Lengths emitted as a single built-in chain instead of reducing further.
-TERMINAL_SIZES = frozenset({1, 2, 3, 5, 7, 11})
+TERMINAL_SIZES = frozenset({1, *SMALL_SIZES})
 
 _STRATEGY_KINDS = ("direct", "binary", "ternary", "prime_power", "mixed", "recurrence", "auto")
 
@@ -82,13 +83,17 @@ class Strategy:
         text = text.strip().lower()
         if text in ("auto", "binary", "ternary", "direct", "recurrence"):
             return cls(text)
-        if text.startswith("prime:"):
-            return cls("prime_power", base=int(text.split(":", 1)[1]))
         if text == "mixed":
             return cls("mixed", bases=DEFAULT_MIXED_BASES)
-        if text.startswith("mixed:"):
-            bases = tuple(int(p) for p in text.split(":", 1)[1].split(",") if p)
-            return cls("mixed", bases=bases)
+        kind, _, numbers = text.partition(":")
+        try:
+            values = tuple(int(p) for p in numbers.split(",") if p)
+        except ValueError:
+            values = ()
+        if kind == "prime" and len(values) == 1:
+            return cls("prime_power", base=values[0])
+        if kind == "mixed" and values:
+            return cls("mixed", bases=values)
         raise ValueError(f"cannot parse strategy {text!r}")
 
     def label(self) -> str:
@@ -130,49 +135,59 @@ def _materialize_power(b: ProgramBuilder, powers: dict[int, int], e: int) -> int
     return reg
 
 
-@dataclass
-class _ReductionLevel:
-    multiplier: int
-    prefix: list[int]
-    power: int | None
+def _emit_split(
+    b: ProgramBuilder,
+    x: int,
+    emit_left: Callable[[ProgramBuilder, int], int],
+    emit_right: Callable[[ProgramBuilder, int], int],
+) -> int:
+    """f(k * m, x) = f(k, x) * f(m, x^k), the one factor split.
+
+    Emits left = f(k, x), the power x^k = left * (x - 1) + 1, right =
+    f(m, x^k) at that power, and returns the register of left * right.
+    """
+    left = emit_left(b, x)
+    power = b.add(b.mul(left, b.sub(x, b.one())), b.one())
+    return b.mul(left, emit_right(b, power))
 
 
-def _emit_reduction_level(
+def _chain(size: int) -> Callable[[ProgramBuilder, int], int]:
+    return lambda b, x: emit_series_chain(b, x, size).value
+
+
+def _emit_level(
     b: ProgramBuilder,
     x: int,
     base: int,
     residue: int,
-    want_power: bool,
-    chain_emitter: Callable[[ProgramBuilder, int], ChainPieces] | None = None,
-) -> _ReductionLevel:
-    """One reduction step at register x.
+    emit_inner: Callable[[ProgramBuilder, int], int] | None,
+) -> int:
+    """One reduction level f(q * base + r, x) at register x.
 
-    Leaves behind the multiplier (f(base, x) for residue 0, otherwise
-    x^residue * f(base, x)), the registers whose sum is the length-residue
-    prefix, and optionally x^base for the next level.
+    ``emit_inner(b, power)`` emits f(q, power) at power = x^base; without
+    it q is 1 and no power is made.  Residue 0 is a factor split.  For
+    r >= 1 the register t = x * f(base, x) makes x^base = t - f(base, x) + 1
+    free, and the level adds the length-r prefix to x^r * f(base, x) * inner.
     """
-    if chain_emitter is None:
-        pieces = emit_series_chain(b, x, base)
-    else:
-        pieces = chain_emitter(b, x)
+    if residue == 0 and emit_inner is not None:
+        return _emit_split(b, x, _chain(base), emit_inner)
+    pieces = emit_series_chain(b, x, base)
     fp = pieces.value
     if residue == 0:
-        power = None
-        if want_power:
-            s = b.sub(x, b.one())
-            power = b.add(b.mul(fp, s), b.one())
-        return _ReductionLevel(fp, [], power)
-    t = b.mul(x, fp)  # also yields x^base as t - fp + 1, no extra multiply
-    power = b.add(b.sub(t, fp), b.one()) if want_power else None
-    if residue == 1:
-        return _ReductionLevel(t, [b.one()], power)
-    powers = {1: x}
-    powers.update(pieces.powers)
-    prefix = [b.one(), x]
-    for e in range(2, residue):
-        prefix.append(_materialize_power(b, powers, e))
-    shift = _materialize_power(b, powers, residue - 1)
-    return _ReductionLevel(b.mul(t, shift), prefix, power)
+        return fp
+    t = b.mul(x, fp)
+    power = b.add(b.sub(t, fp), b.one()) if emit_inner is not None else None
+    prefix, multiplier = [b.one()], t
+    if residue >= 2:
+        powers = {1: x}
+        powers.update(pieces.powers)
+        prefix.append(x)
+        for e in range(2, residue):
+            prefix.append(_materialize_power(b, powers, e))
+        multiplier = b.mul(t, _materialize_power(b, powers, residue - 1))
+    if emit_inner is not None:
+        multiplier = b.mul(multiplier, emit_inner(b, power))
+    return b.add_many(prefix + [multiplier])
 
 
 # Entries one _Memo keeps, about 11 MiB of factor splits.  The memos live
@@ -208,8 +223,9 @@ class _Memo(dict):
 class CostModel:
     """Multiplications charged per reduction level, derived mechanically.
 
-    cost(P, r) is counted off a scratch emission of one level (with the
-    next power included) plus one join multiplication.  The test suite
+    cost(P, r) is counted off a scratch emission of one level whose
+    inner series is its next power itself, so the power and the join
+    multiplication are counted with it.  The test suite
     pins the base-2 and base-3 values: cost(2, *) = 2, cost(3, 0) =
     cost(3, 1) = 3, cost(3, 2) = 4.  ``terminal_credit`` is the pair of
     multiplications (power + join) the last level never spends.  The
@@ -234,8 +250,8 @@ class CostModel:
         key = (base, residue)
         got = self._cache.get(key)
         if got is None:
-            got = 1 + _emitted_muls(
-                lambda b, x: _emit_reduction_level(b, x, base, residue, want_power=True)
+            got = _emitted_muls(
+                lambda b, x: _emit_level(b, x, base, residue, lambda _, power: power)
             )
             self._cache[key] = got
         return got
@@ -311,24 +327,16 @@ def _emit_mixed(
     model: CostModel,
     trace: list[tuple[int, int, int]],
 ) -> int:
-    if n in TERMINAL_SIZES:
-        return emit_series_chain(b, x, n).value
-    step = _mixed_step(n, bases, model)
+    step = None if n in TERMINAL_SIZES else _mixed_step(n, bases, model)
     if step is None:
         return emit_series_chain(b, x, n).value
     base, residue, _ = step
     quotient = (n - residue) // base
     trace.append((n, base, residue))
-    level = _emit_reduction_level(b, x, base, residue, want_power=quotient > 1)
-    if quotient == 1:
-        if level.prefix:
-            return b.add_many(level.prefix + [level.multiplier])
-        return level.multiplier
-    inner = _emit_mixed(b, level.power, quotient, bases, model, trace)
-    joined = b.mul(level.multiplier, inner)
-    if level.prefix:
-        return b.add_many(level.prefix + [joined])
-    return joined
+    emit_inner = None
+    if quotient > 1:
+        emit_inner = lambda bb, power: _emit_mixed(bb, power, quotient, bases, model, trace)
+    return _emit_level(b, x, base, residue, emit_inner)
 
 
 def plan_mixed(
@@ -338,7 +346,12 @@ def plan_mixed(
     *,
     _strategy: Strategy | None = None,
 ) -> PlanReport:
-    """Greedy mixed-base plan; terminal lengths use built-in chains."""
+    """Greedy mixed-base plan; terminal lengths use built-in chains.
+
+    ``_strategy`` labels the report when ``plan`` builds a binary or
+    ternary plan this way; those carry their closed-form prediction, while
+    the mixed one needs a stationary solve and is left to predicted_cost.
+    """
     if n < 1:
         raise ValueError("series length must be >= 1")
     strategy = _strategy or Strategy("mixed", bases=tuple(bases))
@@ -352,7 +365,7 @@ def plan_mixed(
         strategy=strategy,
         program=program,
         muls=program.declared_muls,
-        predicted=None,
+        predicted=None if strategy.kind == "mixed" else predicted_cost(strategy, n),
         reduction_trace=tuple(trace),
         method=strategy.label(),
     )
@@ -415,16 +428,6 @@ def mixed_mul_count(
     return (model or default_cost_model()).mixed_table(tuple(bases)).count(n)
 
 
-def plan_binary(n: int, model: CostModel | None = None) -> PlanReport:
-    rep = plan_mixed(n, (2,), model, _strategy=Strategy("binary"))
-    return _with_predicted(rep)
-
-
-def plan_ternary(n: int, model: CostModel | None = None) -> PlanReport:
-    rep = plan_mixed(n, (3,), model, _strategy=Strategy("ternary"))
-    return _with_predicted(rep)
-
-
 def plan_direct(n: int) -> PlanReport:
     program = horner_program(n)
     return PlanReport(
@@ -443,15 +446,18 @@ def _emit_power_cascade(
     x: int,
     base: int,
     exponent: int,
-    chain_emitter: Callable[[ProgramBuilder, int], ChainPieces],
+    emit_chain: Callable[[ProgramBuilder, int], int],
     trace: list[tuple[int, int, int]],
 ) -> int:
     if exponent == 1:
-        return chain_emitter(b, x).value
+        return emit_chain(b, x)
     trace.append((base**exponent, base, 0))
-    level = _emit_reduction_level(b, x, base, 0, want_power=True, chain_emitter=chain_emitter)
-    inner = _emit_power_cascade(b, level.power, base, exponent - 1, chain_emitter, trace)
-    return b.mul(level.multiplier, inner)
+    return _emit_split(
+        b,
+        x,
+        emit_chain,
+        lambda bb, power: _emit_power_cascade(bb, power, base, exponent - 1, emit_chain, trace),
+    )
 
 
 def plan_prime_power(base: int, exponent: int, model: CostModel | None = None) -> PlanReport:
@@ -471,9 +477,7 @@ def plan_prime_power(base: int, exponent: int, model: CostModel | None = None) -
     if exponent == 0:
         value = emit_series_chain(b, b.input(), 1).value
     else:
-        value = _emit_power_cascade(
-            b, b.input(), base, exponent, lambda bb, xx: emit_series_chain(bb, xx, base), trace
-        )
+        value = _emit_power_cascade(b, b.input(), base, exponent, _chain(base), trace)
     program = b.finish(value, n)
     return PlanReport(
         n=n,
@@ -511,7 +515,7 @@ def plan_recurrence(n: int) -> PlanReport:
     b = ProgramBuilder()
     trace: list[tuple[int, int, int]] = []
     value = _emit_power_cascade(
-        b, b.input(), y, exponent, lambda bb, xx: emit_recurrence(bb, xx, level), trace
+        b, b.input(), y, exponent, lambda bb, xx: emit_recurrence(bb, xx, level).value, trace
     )
     program = b.finish(value, n)
     strategy = Strategy("recurrence")
@@ -538,7 +542,7 @@ def _exact_log(n: int, base: int) -> int | None:
 
 
 def _prime_power_form(n: int) -> tuple[int, int] | None:
-    for p in (2, 3, 5, 7, 11):
+    for p in SMALL_SIZES:
         e = _exact_log(n, p)
         if e is not None:
             return p, e
@@ -564,11 +568,12 @@ class AutoPlanner:
         if decision[0] == "recurrence":
             return emit_recurrence(b, x, decision[1]).value
         k = decision[1]
-        left = self._dp_build(b, x, k)
-        s = b.sub(x, b.one())
-        power = b.add(b.mul(left, s), b.one())
-        right = self._dp_build(b, power, n // k)
-        return b.mul(left, right)
+        return _emit_split(
+            b,
+            x,
+            lambda bb, xx: self._dp_build(bb, xx, k),
+            lambda bb, power: self._dp_build(bb, power, n // k),
+        )
 
     def plan(self, n: int) -> PlanReport:
         if n < 1:
@@ -630,24 +635,21 @@ class AutoPlanner:
         )
 
 
-def plan_auto(n: int, model: CostModel | None = None) -> PlanReport:
-    return AutoPlanner(model).plan(n)
-
-
 def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = None) -> PlanReport:
-    """Build a plan for length n under the given strategy."""
+    """Build a plan for length n under the given strategy.
+
+    The entry point for every strategy; the ``plan_*`` functions are its
+    per-strategy steps.
+    """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
     if strategy.kind == "auto":
-        return plan_auto(n, model)
+        return AutoPlanner(model).plan(n)
     if strategy.kind == "direct":
         return plan_direct(n)
-    if strategy.kind == "binary":
-        return plan_binary(n, model)
-    if strategy.kind == "ternary":
-        return plan_ternary(n, model)
-    if strategy.kind == "mixed":
-        return _with_predicted(plan_mixed(n, strategy.bases, model, _strategy=strategy))
+    if strategy.kind in ("binary", "ternary", "mixed"):
+        bases = {"binary": (2,), "ternary": (3,)}.get(strategy.kind, strategy.bases)
+        return plan_mixed(n, bases, model, _strategy=strategy)
     if strategy.kind == "recurrence":
         return plan_recurrence(n)
     if strategy.kind == "prime_power":
@@ -656,30 +658,6 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
             raise ValueError(f"{n} is not a power of {strategy.base}")
         return plan_prime_power(strategy.base, e, model)
     raise ValueError(f"unhandled strategy {strategy.kind!r}")
-
-
-def _with_predicted(rep: PlanReport) -> PlanReport:
-    if rep.strategy.kind == "mixed":
-        # the mixed prediction needs a stationary solve; leave it on demand
-        return rep
-    try:
-        pred = predicted_cost(rep.strategy, rep.n)
-    except ValueError:
-        pred = None
-    return PlanReport(
-        n=rep.n,
-        strategy=rep.strategy,
-        program=rep.program,
-        muls=rep.muls,
-        predicted=pred,
-        reduction_trace=rep.reduction_trace,
-        method=rep.method,
-    )
-
-
-def mixed_asymptotic_coefficient(bases: tuple[int, ...]) -> float:
-    """Multiplications per bit for the mixed policy, from its residue chain."""
-    return default_cost_model().mixed_table(tuple(bases)).coefficient
 
 
 def predicted_cost(strategy: Strategy | str, n: int) -> float:
@@ -712,7 +690,7 @@ def predicted_cost(strategy: Strategy | str, n: int) -> float:
         _, level, _ = min(options)
         return (1 << level) * ln / math.log2(RECURRENCE_SIZES[level]) - 2.0
     if strategy.kind == "mixed":
-        return mixed_asymptotic_coefficient(strategy.bases) * ln - 2.0
+        return default_cost_model().mixed_table(strategy.bases).coefficient * ln - 2.0
     raise ValueError(f"no closed-form cost for strategy {strategy.kind!r}")
 
 
@@ -723,15 +701,11 @@ __all__ = [
     "default_cost_model",
     "choose_base",
     "plan",
-    "plan_auto",
-    "plan_binary",
-    "plan_ternary",
     "plan_direct",
     "plan_mixed",
     "plan_prime_power",
     "plan_recurrence",
     "mixed_mul_count",
-    "mixed_asymptotic_coefficient",
     "predicted_cost",
     "AutoPlanner",
     "DEFAULT_MIXED_BASES",

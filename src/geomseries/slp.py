@@ -539,24 +539,6 @@ def passes_oracle(program: SlpProgram) -> bool:
     return oracle_facts(program).passes
 
 
-def horner_reference(n: int, x, one=None):
-    """Baseline nested evaluation of the length-n series.
-
-    Uses exactly n - 2 multiplications for n >= 2 (the innermost 1 + x is
-    free) and none for n in {1, 2}.
-    """
-    if n < 1:
-        raise ValueError("series length must be >= 1")
-    if one is None:
-        one = _ring_one(x)
-    if n == 1:
-        return one
-    acc = one + x
-    for _ in range(n - 2):
-        acc = one + x * acc
-    return acc
-
-
 def horner_program(n: int) -> SlpProgram:
     """The baseline plan as a program: n - 2 multiplications for n >= 2."""
     if n < 1:
@@ -639,7 +621,6 @@ __all__ = [
     "mul_count",
     "add_count",
     "validate",
-    "horner_reference",
     "horner_program",
     "to_json",
     "from_json",

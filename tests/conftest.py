@@ -1,12 +1,20 @@
 import pytest
 
-from geomseries.planner import AutoPlanner
+from geomseries.planner import AutoPlanner, plan
 
 
 @pytest.fixture(scope="session")
 def auto_planner():
     # stateless: the factor-split memo lives on the default cost model
     return AutoPlanner()
+
+
+def small_chain(p: int):
+    """The hand-tuned chain for p in chains.SMALL_SIZES as a finished program.
+
+    A prime power with exponent 1 is that chain itself.
+    """
+    return plan(p, f"prime:{p}").program
 
 
 def brute_series(n: int, x):

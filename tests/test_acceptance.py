@@ -12,7 +12,7 @@ import pytest
 
 from geomseries import chains, linalg, markov
 from geomseries.asymptotic import compute_k, verify_floor_identity
-from geomseries.chains import RECURRENCE_SIZES, recurrence_chain
+from geomseries.chains import RECURRENCE_SIZES
 from geomseries.planner import (
     AutoPlanner,
     default_cost_model,
@@ -74,7 +74,7 @@ def test_acceptance_exact_count_reproduction(auto_planner):
             assert plan_prime_power(p, e).muls == per * e - 2
             e += 1
     for level in range(1, 7):
-        assert recurrence_chain(level).muls == 2**level - 2
+        assert plan(RECURRENCE_SIZES[level], "recurrence").muls == 2**level - 2
     _verdict(
         "exact count reproduction",
         "5->2 7->3 11->4 25->6 26->6 677->14; P^e and y(n) families exact",
@@ -201,8 +201,8 @@ def test_acceptance_errata_regression():
     flawed26 = chains.flawed_length26_chain()
     assert not passes_oracle(flawed11)
     assert not passes_oracle(flawed26)
-    good11 = chains.chain_for_small(11)
-    good26 = chains.recurrence_chain(3)
+    good11 = plan(11, "prime:11")
+    good26 = plan(26, "recurrence")
     assert passes_oracle(good11.program) and good11.muls == 4
     assert passes_oracle(good26.program) and good26.muls == 6
     assert flawed11.declared_muls == 4 and flawed26.declared_muls == 6

@@ -1,20 +1,13 @@
-import pytest
-
-from conftest import brute_series
+from conftest import brute_series, small_chain
 from geomseries import chains
 from geomseries.chains import (
-    BINARY_RULE,
-    RECURRENCE,
     RECURRENCE_SIZES,
     SMALL_SIZES,
-    TABLE1,
-    TABLE1_CORRECTED,
-    binary_chain,
-    chain_for_small,
+    emit_binary_rule,
     flawed_length11_chain,
     flawed_length26_chain,
-    recurrence_chain,
 )
+from geomseries.planner import plan
 from geomseries.slp import (
     DensePoly,
     ProgramBuilder,
@@ -25,6 +18,15 @@ from geomseries.slp import (
     passes_oracle,
     polynomial_of_register,
 )
+
+
+def binary_rule_program(n: int):
+    b = ProgramBuilder()
+    return b.finish(emit_binary_rule(b, b.input(), n).value, n)
+
+
+def recurrence_program(level: int):
+    return plan(RECURRENCE_SIZES[level], "recurrence").program
 
 
 def reference_binary_cost(n: int) -> int:
@@ -41,24 +43,13 @@ def reference_binary_cost(n: int) -> int:
 
 def test_small_chain_mul_counts_are_pinned():
     for p, want in ((2, 0), (3, 1), (5, 2), (7, 3), (11, 4)):
-        assert chain_for_small(p).muls == want
+        assert small_chain(p).declared_muls == want
 
 
 def test_small_chains_expand_to_all_ones():
+    assert SMALL_SIZES == (2, 3, 5, 7, 11)
     for p in SMALL_SIZES:
-        assert eval_poly_oracle(chain_for_small(p).program) == DensePoly.all_ones(p)
-
-
-def test_small_chain_provenance():
-    assert chain_for_small(7).provenance == TABLE1
-    assert chain_for_small(11).provenance == TABLE1_CORRECTED
-
-
-def test_unsupported_small_size_raises():
-    with pytest.raises(ValueError):
-        chain_for_small(4)
-    with pytest.raises(ValueError):
-        chain_for_small(13)
+        assert eval_poly_oracle(small_chain(p)) == DensePoly.all_ones(p)
 
 
 def test_small_chain_power_registers_hold_powers():
@@ -80,23 +71,17 @@ def test_small_chain_power_registers_hold_powers():
 
 
 def test_binary_chain_examples():
-    assert binary_chain(5).muls == 2
-    assert binary_chain(2).muls == 0
-    assert binary_chain(7).muls == 3
+    assert binary_rule_program(5).declared_muls == 2
+    assert binary_rule_program(2).declared_muls == 0
+    assert binary_rule_program(7).declared_muls == 3
 
 
 def test_binary_chain_sweep_oracle_and_counts():
     for n in list(range(2, 200)) + [277, 512, 600, 1021]:
-        entry = binary_chain(n)
-        assert passes_oracle(entry.program), n
-        assert entry.muls == reference_binary_cost(n)
-        assert entry.muls <= max(n - 2, 0)
-        assert entry.provenance == BINARY_RULE
-
-
-def test_binary_chain_rejects_length_one():
-    with pytest.raises(ValueError):
-        binary_chain(1)
+        program = binary_rule_program(n)
+        assert passes_oracle(program), n
+        assert program.declared_muls == reference_binary_cost(n)
+        assert program.declared_muls <= max(n - 2, 0)
 
 
 # -- recurrence family ------------------------------------------------------------
@@ -112,19 +97,18 @@ def test_recurrence_sizes_prefix():
 
 def test_recurrence_chain_counts_are_two_to_n_minus_two():
     for n in range(1, 7):
-        entry = recurrence_chain(n)
-        assert entry.muls == 2**n - 2
-        assert entry.size == RECURRENCE_SIZES[n]
-        assert entry.provenance == RECURRENCE
+        program = recurrence_program(n)
+        assert program.declared_muls == 2**n - 2
+        assert program.series_length == RECURRENCE_SIZES[n]
 
 
 def test_recurrence_chain_oracle_through_level_four():
     for n in (1, 2, 3, 4):
-        assert passes_oracle(recurrence_chain(n).program)
+        assert passes_oracle(recurrence_program(n))
 
 
 def test_recurrence_chain_level_five_spot_checks():
-    prog = recurrence_chain(5).program
+    prog = recurrence_program(5)
     n = RECURRENCE_SIZES[5]
     assert evaluate(prog, 1) == n
     for p in (10**9 + 7, 998244353):
@@ -132,7 +116,7 @@ def test_recurrence_chain_level_five_spot_checks():
 
 
 def test_recurrence_chain_level_six_spot_checks():
-    prog = recurrence_chain(6).program
+    prog = recurrence_program(6)
     n = RECURRENCE_SIZES[6]
     assert prog.declared_muls == 62
     assert evaluate(prog, 1) == n
@@ -141,26 +125,22 @@ def test_recurrence_chain_level_six_spot_checks():
 
 
 def test_recurrence_chain_level_zero_is_constant_one():
-    entry = recurrence_chain(0)
-    assert entry.size == 1 and entry.muls == 0
-    assert eval_poly_oracle(entry.program) == DensePoly.one()
-
-
-def test_recurrence_chain_rejects_level_beyond_cap():
-    with pytest.raises(ValueError):
-        recurrence_chain(7)
+    # level 0 is the size-1 series, the constant 1
+    program = plan(RECURRENCE_SIZES[0]).program
+    assert program.series_length == 1 and program.declared_muls == 0
+    assert eval_poly_oracle(program) == DensePoly.one()
 
 
 def test_all_chains_evaluate_to_length_at_one():
-    entries = [chain_for_small(p) for p in SMALL_SIZES]
-    entries += [binary_chain(n) for n in (6, 45, 100)]
-    entries += [recurrence_chain(n) for n in range(1, 7)]
-    for entry in entries:
-        assert evaluate(entry.program, 1) == entry.size
+    programs = [small_chain(p) for p in SMALL_SIZES]
+    programs += [binary_rule_program(n) for n in (6, 45, 100)]
+    programs += [recurrence_program(n) for n in range(1, 7)]
+    for program in programs:
+        assert evaluate(program, 1) == program.series_length
 
 
 def test_recurrence_matches_brute_force_at_small_values():
-    prog = recurrence_chain(3).program  # length 26
+    prog = recurrence_program(3)  # length 26
     for x in (-1, 2, 3):
         assert evaluate(prog, x) == brute_series(26, x)
 
@@ -179,7 +159,7 @@ def test_flawed_fixtures_fail_oracle_with_right_counts():
 
 
 def test_corrected_counterparts_pass_with_same_counts():
-    assert chain_for_small(11).muls == 4
-    assert passes_oracle(chain_for_small(11).program)
-    assert recurrence_chain(3).muls == 6
-    assert passes_oracle(recurrence_chain(3).program)
+    assert small_chain(11).declared_muls == 4
+    assert passes_oracle(small_chain(11))
+    assert recurrence_program(3).declared_muls == 6
+    assert passes_oracle(recurrence_program(3))

@@ -267,41 +267,50 @@ def test_bench_csv_shape(capsys):
 
 
 # Bad input exits 2 and a result that cannot be certified exits 1, each
-# with one stderr line naming the command.  The files live in tmp_path.
+# with one stderr line naming the command; where the third field is set,
+# that line also names the option or the spelling at fault.  The files
+# live in tmp_path.
 MALFORMED = [
-    (("plan", "--n", "0"), 2),
-    (("plan", "--n", "5", "--strategy", "bogus"), 2),
-    (("plan", "--n", "10", "--strategy", "prime:3"), 2),
-    (("plan", "--n", "10", "--strategy", "mixed:2,2"), 2),
-    (("plan", "--n", "5", "--out", "no-such-dir/plan.json"), 2),
-    (("verify", "--min", "1", "--max", "5", "--strategy", "bogus"), 2),
-    (("count", "--min", "1", "--max", "5", "--strategy", "prime:x"), 2),
-    (("markov", "--bases", "x"), 2),
-    (("markov", "--bases", "2,2"), 2),
-    (("markov", "--bases", "3,2", "--modulus", "0"), 2),
-    (("markov", "--bases", "3,2", "--modulus", "7"), 2),
-    (("markov", "--bases", "3,2", "--empirical", "0"), 2),
-    (("markov", "--bases", "3,2", "--empirical", "1"), 2),
-    (("markov", "--bases", "3,2", "--empirical", "5", "--nmin", "1"), 2),
-    (("asymptotic", "--digits", "0"), 2),
-    (("asymptotic", "--floor-levels", "-1"), 2),
-    (("invert", "missing.csv", "--terms", "5"), 2),
-    (("invert", "ragged.csv", "--terms", "5"), 2),
-    (("invert", "nan.csv", "--terms", "5"), 2),
-    (("invert", "text.csv", "--terms", "5"), 2),
-    (("invert", "empty.csv", "--terms", "5"), 2),
-    (("invert", "truncated.bin", "--terms", "5"), 2),
-    (("invert", "ok.csv", "--terms", "0"), 2),
-    (("invert", "ok.csv", "--terms", "5", "--strategy", "bogus"), 2),
-    (("invert", "hot.csv", "--terms", "5"), 1),
-    (("bench", "--sizes", "a"), 2),
-    (("bench", "--sizes", "4", "--terms", "5", "--replicates", "0"), 2),
-    (("bench", "--sizes", "0", "--terms", "5", "--replicates", "1"), 2),
+    (("plan", "--n", "0"), 2, ""),
+    (("plan", "--n", "5", "--strategy", "bogus"), 2, ""),
+    (("plan", "--n", "10", "--strategy", "prime:3"), 2, ""),
+    (("plan", "--n", "10", "--strategy", "mixed:2,2"), 2, ""),
+    (("plan", "--n", "5", "--strategy", "mixed:2,x"), 2, "strategy 'mixed:2,x'"),
+    (("plan", "--n", "5", "--out", "no-such-dir/plan.json"), 2, ""),
+    (("verify", "--min", "1", "--max", "5", "--strategy", "bogus"), 2, ""),
+    (("count", "--min", "1", "--max", "5", "--strategy", "prime:x"), 2, "strategy 'prime:x'"),
+    (("markov", "--bases", "x"), 2, "argument --bases"),
+    (("markov", "--bases", ","), 2, "argument --bases"),
+    (("markov", "--bases", "2,2"), 2, ""),
+    (("markov", "--bases", "3,2", "--modulus", "0"), 2, ""),
+    (("markov", "--bases", "3,2", "--modulus", "7"), 2, ""),
+    (("markov", "--bases", "3,2", "--empirical", "0"), 2, ""),
+    (("markov", "--bases", "3,2", "--empirical", "1"), 2, ""),
+    (("markov", "--bases", "3,2", "--empirical", "5", "--nmin", "1"), 2, ""),
+    (("asymptotic", "--digits", "0"), 2, ""),
+    (("asymptotic", "--floor-levels", "-1"), 2, ""),
+    (("invert", "missing.csv", "--terms", "5"), 2, ""),
+    (("invert", "ragged.csv", "--terms", "5"), 2, ""),
+    (("invert", "nan.csv", "--terms", "5"), 2, ""),
+    (("invert", "text.csv", "--terms", "5"), 2, ""),
+    (("invert", "empty.csv", "--terms", "5"), 2, ""),
+    (("invert", "truncated.bin", "--terms", "5"), 2, ""),
+    (("invert", "ok.csv", "--terms", "0"), 2, ""),
+    (("invert", "ok.csv", "--terms", "5", "--strategy", "bogus"), 2, ""),
+    (("invert", "hot.csv", "--terms", "5"), 1, ""),
+    (("bench", "--sizes", "a"), 2, "argument --sizes"),
+    (("bench", "--sizes", ","), 2, "argument --sizes"),
+    (("bench", "--terms", "x"), 2, "argument --terms"),
+    (("bench", "--terms", ","), 2, "argument --terms"),
+    (("bench", "--sizes", "4", "--terms", "5", "--replicates", "0"), 2, ""),
+    (("bench", "--sizes", "0", "--terms", "5", "--replicates", "1"), 2, ""),
 ]
 
 
-@pytest.mark.parametrize("argv, code", MALFORMED, ids=[" ".join(argv) for argv, _ in MALFORMED])
-def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, code):
+@pytest.mark.parametrize(
+    "argv, code, said", MALFORMED, ids=[" ".join(argv) for argv, _, _ in MALFORMED]
+)
+def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, code, said):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ragged.csv").write_text("1,2\n3\n")
     (tmp_path / "nan.csv").write_text("0.5,nan\n0,0.5\n")
@@ -318,6 +327,7 @@ def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv
     captured = capsys.readouterr()
     usage, _, message = captured.err.rpartition(f"geomseries {argv[0]}: error: ")
     assert message.strip() and message.count("\n") == 1 and message.endswith("\n")
+    assert said in message
     assert usage == "" or usage.startswith("usage: ")  # argparse prints its usage first
     assert "Traceback" not in captured.err
 

@@ -16,7 +16,6 @@ from geomseries.planner import (
     default_cost_model,
     mixed_mul_count,
     plan,
-    plan_auto,
     plan_direct,
     plan_mixed,
     plan_prime_power,
@@ -25,10 +24,17 @@ from geomseries.planner import (
 )
 from geomseries.slp import (
     DensePoly,
+    ProgramBuilder,
     eval_poly_oracle,
     mul_count,
     passes_oracle,
 )
+
+
+def chain_muls(size: int) -> int:
+    """Multiplications of the built-in chain for ``size``, emitted alone."""
+    b = ProgramBuilder()
+    return b.finish(chains.emit_series_chain(b, b.input(), size).value, size).declared_muls
 
 
 # -- cost model ---------------------------------------------------------------
@@ -99,7 +105,7 @@ def test_prime_power_examples():
 
 def test_prime_power_closed_form_is_exact():
     for p in (2, 3, 5, 7, 11):
-        per_level = chains.chain_for_small(p).muls + 2
+        per_level = chain_muls(p) + 2
         assert default_cost_model().cost(p, 0) == per_level
         e = 1
         while p**e <= 4096:
@@ -119,7 +125,7 @@ def test_prime_power_zero_exponent_is_identity_plan():
 def test_prime_power_fallback_base_without_builtin_chain():
     rep = plan_prime_power(13, 2)
     assert rep.n == 169
-    assert rep.muls == (chains.binary_chain(13).muls + 2) * 2 - 2
+    assert rep.muls == (chain_muls(13) + 2) * 2 - 2
     assert passes_oracle(rep.program)
 
 

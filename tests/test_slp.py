@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_series, poly_add, poly_mul
+from conftest import brute_series, poly_add, poly_mul, small_chain
 from geomseries import chains, slp
 from geomseries.chains import emit_binary_rule
 from geomseries.planner import plan
@@ -25,7 +25,6 @@ from geomseries.slp import (
     evaluate_mod,
     from_json,
     horner_program,
-    horner_reference,
     mul_count,
     oracle_facts,
     passes_oracle,
@@ -59,25 +58,25 @@ class CountingInt:
 
 
 def test_eval_length2_chain_on_floats():
-    prog = chains.chain_for_small(2).program
+    prog = small_chain(2)
     assert evaluate(prog, 3.0) == 4.0
 
 
 def test_eval_length5_chain_matches_brute_force():
-    prog = chains.chain_for_small(5).program
+    prog = small_chain(5)
     assert evaluate(prog, 2) == brute_series(5, 2) == 31
 
 
 def test_eval_length26_at_one_distinguishes_corrected_from_flawed():
-    corrected = chains.recurrence_chain(3).program
+    corrected = plan(26, "recurrence").program
     assert evaluate(corrected, 1) == 26
     assert evaluate(chains.flawed_length26_chain(), 1) == 30
 
 
 def test_eval_counts_exactly_declared_muls():
     for prog in (
-        chains.chain_for_small(11).program,
-        chains.recurrence_chain(3).program,
+        small_chain(11),
+        plan(26, "recurrence").program,
         plan(60, "auto").program,
     ):
         counter = [0]
@@ -86,19 +85,19 @@ def test_eval_counts_exactly_declared_muls():
 
 
 def test_eval_works_over_fractions():
-    prog = chains.chain_for_small(5).program
+    prog = small_chain(5)
     x = Fraction(1, 2)
     assert evaluate(prog, x) == brute_series(5, x)
 
 
 def test_eval_rejects_types_without_identity():
-    prog = chains.chain_for_small(2).program
+    prog = small_chain(2)
     with pytest.raises(TypeError):
         evaluate(prog, object())
 
 
 def test_evaluate_mod_matches_closed_form():
-    prog = chains.recurrence_chain(4).program  # length 677
+    prog = plan(677, "recurrence").program  # length 677
     for p in (10**9 + 7, 2**31 - 1):
         assert evaluate_mod(prog, 2, p) == (pow(2, 677, p) - 1) % p
         inv2 = pow(2, p - 2, p)
@@ -110,7 +109,7 @@ def test_evaluate_mod_matches_closed_form():
 
 def test_oracle_small_chains_are_all_ones():
     for p in chains.SMALL_SIZES:
-        poly = eval_poly_oracle(chains.chain_for_small(p).program)
+        poly = eval_poly_oracle(small_chain(p))
         assert poly == DensePoly.all_ones(p)
 
 
@@ -128,8 +127,8 @@ def test_oracle_matches_testside_expansion_of_flawed_chain():
 
 def test_oracle_agrees_with_naive_polynomial_ring():
     programs = [
-        chains.chain_for_small(7).program,
-        chains.recurrence_chain(3).program,
+        small_chain(7),
+        plan(26, "recurrence").program,
         chains.flawed_length26_chain(),
         plan(97, "auto").program,
         plan(96, "mixed:11,7,5,3,2").program,
@@ -322,9 +321,9 @@ def test_next_power_rewrites_stay_at_8_bit_digits():
 
 
 def test_mul_count_examples():
-    assert mul_count(chains.chain_for_small(5).program) == 2
-    assert mul_count(chains.chain_for_small(2).program) == 0
-    assert mul_count(chains.recurrence_chain(3).program) == 6
+    assert mul_count(small_chain(5)) == 2
+    assert mul_count(small_chain(2)) == 0
+    assert mul_count(plan(26, "recurrence").program) == 6
 
 
 def test_polynomial_of_register_reads_intermediates():
@@ -339,26 +338,25 @@ def test_polynomial_of_register_reads_intermediates():
 
 def test_horner_values_match_brute_force():
     for n in range(1, 80):
-        for x in (-2, -1, 0, 1, 2, 3):
-            assert horner_reference(n, x) == brute_series(n, x)
+        prog = horner_program(n)
+        for x in (-2, -1, 0, 1, 2, 3, Fraction(1, 3)):
+            assert evaluate(prog, x) == brute_series(n, x)
 
 
 def test_horner_mul_counts():
     for n, want in ((1, 0), (2, 0), (3, 1), (9, 7), (50, 48)):
         counter = [0]
-        horner_reference(n, CountingInt(2, counter))
+        evaluate(horner_program(n), CountingInt(2, counter))
         assert counter[0] == want
 
 
 def test_horner_example_n3():
     counter = [0]
-    out = horner_reference(3, CountingInt(2, counter))
+    out = evaluate(horner_program(3), CountingInt(2, counter))
     assert out.v == 7 and counter[0] == 1
 
 
 def test_horner_rejects_zero_length():
-    with pytest.raises(ValueError):
-        horner_reference(0, 2)
     with pytest.raises(ValueError):
         horner_program(0)
 
@@ -375,7 +373,7 @@ def test_horner_baseline_matches_oracle_polynomial_up_to_512():
     for n in [1, 2, 3, 5, 17, 64, 129, 255, 311, 512]:
         x = rng.randint(-3, 3)
         prog = plan(n, "auto").program
-        assert horner_reference(n, x) == eval_poly_oracle(prog)(x)
+        assert evaluate(horner_program(n), x) == eval_poly_oracle(prog)(x)
 
 
 # -- structure ----------------------------------------------------------------
@@ -412,7 +410,7 @@ def test_builder_rejects_out_of_range_operand():
 
 def test_json_round_trip_is_bit_exact():
     for prog in (
-        chains.chain_for_small(11).program,
+        small_chain(11),
         plan(60, "mixed:5,3,2").program,
         horner_program(7),
     ):
