@@ -22,8 +22,6 @@ from .planner import (
     PlanReport,
     Strategy,
     plan,
-    plan_mixed,
-    plan_prime_power,
     predicted_cost,
 )
 from .slp import (
@@ -53,8 +51,6 @@ __all__ = [
     "PlanReport",
     "Strategy",
     "plan",
-    "plan_mixed",
-    "plan_prime_power",
     "predicted_cost",
     "DensePoly",
     "Instr",

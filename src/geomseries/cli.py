@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import asymptotic, chains, linalg, markov
 from .linalg import plan_digest
@@ -38,14 +37,6 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if hasattr(obj, "__float__") and not isinstance(obj, (int, float)):
-        return str(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def _finite(doc):
     """doc with every non-finite float replaced by None, which JSON can carry."""
     if isinstance(doc, float):
@@ -58,7 +49,7 @@ def _finite(doc):
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(_finite(doc), indent=2, default=_json_default, allow_nan=False) + "\n"
+    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
 
 
 def _report_doc(rep: PlanReport) -> dict:

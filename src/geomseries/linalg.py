@@ -54,9 +54,6 @@ class SpectralRadiusEstimate:
     converged: bool
     iterations: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class NeumannReport:

@@ -112,10 +112,7 @@ def build_chain(
     A larger modulus (any common multiple) may be passed for sensitivity
     checks; the stationary coefficient must not depend on it.
     """
-    bases = tuple(bases)
-    if not bases or min(bases) < 2 or len(set(bases)) != len(bases):
-        raise ValueError("bases must be distinct integers >= 2")
-    table = (model or default_cost_model()).mixed_table(bases)
+    table = (model or default_cost_model()).mixed_table(tuple(bases))
     m = table.modulus
     if modulus is not None:
         if modulus < 1 or modulus % m != 0:
@@ -131,7 +128,7 @@ def build_chain(
         prob = Fraction(1, base)
         rows.append(tuple(sorted((s * step + d) % m for s in range(base))))
         rows[-1] = tuple((t, prob) for t in rows[-1])
-    return ResidueChain(bases, m, tuple(rows), tuple(policy))
+    return ResidueChain(table.bases, m, tuple(rows), tuple(policy))
 
 
 # -- stationary distribution -------------------------------------------------
@@ -483,6 +480,8 @@ def empirical_slope_stats(
     mean_x = sum(xs) / count
     mean_y = sum(ys) / count
     sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0:
+        raise ValueError(f"exponent range ({lo}, {hi}) samples one length only; widen it")
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
     intercept = mean_y - slope * mean_x
     ss_resid = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))

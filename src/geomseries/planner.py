@@ -12,11 +12,13 @@ step.  Terminal lengths with a built-in chain are emitted directly, which
 is where the constant -2 in all the closed-form counts comes from: the
 last level needs neither a next power nor a join.
 
-Every plan is composed in one way: the chain emitters of ``chains`` and
-the reduction levels here write onto one shared ProgramBuilder, and every
-factor split f(k * m, x) = f(k, x) * f(m, x^k) goes through ``_emit_split``.
-The multiplication counts the planners compare are read off scratch
-emissions of those same emitters, so no count is kept by hand.
+Every plan is composed in one way: each strategy is a private emitter
+that writes, through the chain emitters of ``chains`` and the reduction
+levels here, onto one ProgramBuilder, and ``plan`` alone finishes the
+program and builds its PlanReport.  Every factor split f(k * m, x) =
+f(k, x) * f(m, x^k) goes through ``_emit_split``.  The multiplication
+counts the planners compare are read off scratch emissions of those same
+emitters, so no count is kept by hand.
 
 Strategies:
 
@@ -46,7 +48,7 @@ from .chains import (
     emit_recurrence,
     emit_series_chain,
 )
-from .slp import MUL, ProgramBuilder, SlpProgram, horner_program
+from .slp import MUL, ProgramBuilder, SlpProgram
 
 DEFAULT_MIXED_BASES = (11, 7, 5, 3, 2)
 
@@ -54,6 +56,14 @@ DEFAULT_MIXED_BASES = (11, 7, 5, 3, 2)
 TERMINAL_SIZES = frozenset({1, *SMALL_SIZES})
 
 _STRATEGY_KINDS = ("direct", "binary", "ternary", "prime_power", "mixed", "recurrence", "auto")
+
+
+def _check_mixed_bases(bases: tuple[int, ...] | None) -> None:
+    """The one check of a mixed bases set: distinct bases, each at least 2."""
+    if not bases:
+        raise ValueError("mixed strategy needs at least one base")
+    if len(set(bases)) != len(bases) or min(bases) < 2:
+        raise ValueError("mixed bases must be pairwise distinct and >= 2")
 
 
 @dataclass(frozen=True)
@@ -71,10 +81,7 @@ class Strategy:
             if self.base is None or self.base < 2:
                 raise ValueError("prime_power strategy needs a base >= 2")
         if self.kind == "mixed":
-            if not self.bases:
-                raise ValueError("mixed strategy needs at least one base")
-            if len(set(self.bases)) != len(self.bases) or min(self.bases) < 2:
-                raise ValueError("mixed bases must be pairwise distinct and >= 2")
+            _check_mixed_bases(self.bases)
 
     @classmethod
     def parse(cls, text: str) -> "Strategy":
@@ -312,13 +319,6 @@ def choose_base(value: int, bases: tuple[int, ...], model: CostModel) -> tuple[i
     return best
 
 
-def _mixed_step(n: int, bases: tuple[int, ...], model: CostModel) -> tuple[int, int, int] | None:
-    feasible = tuple(p for p in bases if p <= n)
-    if not feasible:
-        return None
-    return choose_base(n, feasible, model)
-
-
 def _emit_mixed(
     b: ProgramBuilder,
     x: int,
@@ -327,48 +327,16 @@ def _emit_mixed(
     model: CostModel,
     trace: list[tuple[int, int, int]],
 ) -> int:
-    step = None if n in TERMINAL_SIZES else _mixed_step(n, bases, model)
-    if step is None:
+    feasible = () if n in TERMINAL_SIZES else tuple(p for p in bases if p <= n)
+    if not feasible:
         return emit_series_chain(b, x, n).value
-    base, residue, _ = step
+    base, residue, _ = choose_base(n, feasible, model)
     quotient = (n - residue) // base
     trace.append((n, base, residue))
     emit_inner = None
     if quotient > 1:
         emit_inner = lambda bb, power: _emit_mixed(bb, power, quotient, bases, model, trace)
     return _emit_level(b, x, base, residue, emit_inner)
-
-
-def plan_mixed(
-    n: int,
-    bases: tuple[int, ...] = DEFAULT_MIXED_BASES,
-    model: CostModel | None = None,
-    *,
-    _strategy: Strategy | None = None,
-) -> PlanReport:
-    """Greedy mixed-base plan; terminal lengths use built-in chains.
-
-    ``_strategy`` labels the report when ``plan`` builds a binary or
-    ternary plan this way; those carry their closed-form prediction, while
-    the mixed one needs a stationary solve and is left to predicted_cost.
-    """
-    if n < 1:
-        raise ValueError("series length must be >= 1")
-    strategy = _strategy or Strategy("mixed", bases=tuple(bases))
-    model = model or default_cost_model()
-    b = ProgramBuilder()
-    trace: list[tuple[int, int, int]] = []
-    value = _emit_mixed(b, b.input(), n, tuple(bases), model, trace)
-    program = b.finish(value, n)
-    return PlanReport(
-        n=n,
-        strategy=strategy,
-        program=program,
-        muls=program.declared_muls,
-        predicted=None if strategy.kind == "mixed" else predicted_cost(strategy, n),
-        reduction_trace=tuple(trace),
-        method=strategy.label(),
-    )
 
 
 class MixedTable:
@@ -378,14 +346,13 @@ class MixedTable:
     a length n >= T has every base feasible, a quotient of at least 2 and no
     built-in chain, so its level depends on n mod L alone: ``policy[n % L]``
     is the (base, cost) that choose_base picks, and the quotient is
-    n // base.  A length below T counts as ``tails[n] = plan_mixed(n).muls``,
-    read off the emitted plan.  2 * max(bases) alone is too low a threshold:
-    for bases (2,) or (3,) the terminals 5, 7 and 11 lie above it.
+    n // base.  A length below T counts as ``tails[n]``, read off a scratch
+    emission of its plan.  2 * max(bases) alone is too low a threshold: for
+    bases (2,) or (3,) the terminals 5, 7 and 11 lie above it.
     """
 
     def __init__(self, bases: tuple[int, ...], model: CostModel) -> None:
-        if not bases or min(bases) < 2:
-            raise ValueError("mixed bases must be integers >= 2")
+        _check_mixed_bases(bases)
         self.bases, self.model = bases, model
         self.modulus = math.lcm(*bases)
         self.threshold = max(2 * max(bases), max(TERMINAL_SIZES) + 1)
@@ -395,10 +362,12 @@ class MixedTable:
             return base, cost
 
         self.policy = _Memo(level)
-        self.tails = _Memo(lambda n: plan_mixed(n, bases, model).muls)
+        self.tails = _Memo(
+            lambda n: _emitted_muls(lambda b, x: _emit_mixed(b, x, n, bases, model, []))
+        )
 
     def count(self, n: int) -> int:
-        """Multiplications of plan_mixed(n, bases) for n >= 1."""
+        """Multiplications of the mixed plan for length n >= 1."""
         policy, modulus, threshold = self.policy, self.modulus, self.threshold
         total = 0
         while n >= threshold:
@@ -418,7 +387,7 @@ class MixedTable:
 def mixed_mul_count(
     n: int, bases: tuple[int, ...] = DEFAULT_MIXED_BASES, model: CostModel | None = None
 ) -> int:
-    """Multiplication count of plan_mixed(n, bases) without building it.
+    """Multiplication count of the mixed plan for length n without building it.
 
     Levels above the threshold of ``model.mixed_table(bases)`` add their
     CostModel cost; the rest is the count of the emitted plan.
@@ -428,17 +397,14 @@ def mixed_mul_count(
     return (model or default_cost_model()).mixed_table(tuple(bases)).count(n)
 
 
-def plan_direct(n: int) -> PlanReport:
-    program = horner_program(n)
-    return PlanReport(
-        n=n,
-        strategy=Strategy("direct"),
-        program=program,
-        muls=program.declared_muls,
-        predicted=float(max(n - 2, 0)),
-        reduction_trace=(),
-        method="direct",
-    )
+def _emit_horner(b: ProgramBuilder, x: int, n: int) -> int:
+    """Nested evaluation 1 + x(1 + x(...)), n - 2 multiplications for n >= 2."""
+    if n == 1:
+        return b.one()
+    acc = b.add(b.one(), x)
+    for _ in range(n - 2):
+        acc = b.add(b.one(), b.mul(x, acc))
+    return acc
 
 
 def _emit_power_cascade(
@@ -449,45 +415,17 @@ def _emit_power_cascade(
     emit_chain: Callable[[ProgramBuilder, int], int],
     trace: list[tuple[int, int, int]],
 ) -> int:
+    """f(base**exponent, x) as a cascade of factor splits, base-sized leaves.
+
+    ``emit_chain`` emits each f(base, .); exponent 0 is the length-1 series.
+    """
+    if exponent == 0:
+        return b.one()
     if exponent == 1:
         return emit_chain(b, x)
     trace.append((base**exponent, base, 0))
-    return _emit_split(
-        b,
-        x,
-        emit_chain,
-        lambda bb, power: _emit_power_cascade(bb, power, base, exponent - 1, emit_chain, trace),
-    )
-
-
-def plan_prime_power(base: int, exponent: int, model: CostModel | None = None) -> PlanReport:
-    """Plan for N = base**exponent with exactly (muls(base) + 2) * e - 2 MULs.
-
-    The base needs a built-in chain or falls back to the parity rule.
-    exponent 0 yields the identity plan for N = 1.
-    """
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    strategy = Strategy("prime_power", base=base)
-    n = base**exponent
-    b = ProgramBuilder()
-    trace: list[tuple[int, int, int]] = []
-    if exponent == 0:
-        value = emit_series_chain(b, b.input(), 1).value
-    else:
-        value = _emit_power_cascade(b, b.input(), base, exponent, _chain(base), trace)
-    program = b.finish(value, n)
-    return PlanReport(
-        n=n,
-        strategy=strategy,
-        program=program,
-        muls=program.declared_muls,
-        predicted=predicted_cost(strategy, n) if n > 1 else 0.0,
-        reduction_trace=tuple(trace),
-        method=strategy.label(),
-    )
+    inner = lambda bb, power: _emit_power_cascade(bb, power, base, exponent - 1, emit_chain, trace)
+    return _emit_split(b, x, emit_chain, inner)
 
 
 def _recurrence_power_options(n: int) -> list[tuple[int, int, int]]:
@@ -503,37 +441,27 @@ def _recurrence_power_options(n: int) -> list[tuple[int, int, int]]:
     return options
 
 
-def plan_recurrence(n: int) -> PlanReport:
-    """Plan for N a power of a squared-plus-one size; count 2^k * e - 2."""
+def _emit_recurrence_power(
+    b: ProgramBuilder, x: int, n: int, trace: list[tuple[int, int, int]]
+) -> tuple[int, str]:
+    """f(N, x) for N a power of a squared-plus-one size; count 2^k * e - 2.
+
+    Returns the output register and the method, recurrence:k or
+    recurrence:k^e.
+    """
     if n < 2:
         raise ValueError("series length must be >= 2 for a recurrence plan")
     options = _recurrence_power_options(n)
     if not options:
         raise ValueError(f"{n} is not a power of any squared-plus-one size")
     _, level, exponent = min(options)
-    y = RECURRENCE_SIZES[level]
-    b = ProgramBuilder()
-    trace: list[tuple[int, int, int]] = []
-    value = _emit_power_cascade(
-        b, b.input(), y, exponent, lambda bb, xx: emit_recurrence(bb, xx, level).value, trace
-    )
-    program = b.finish(value, n)
-    strategy = Strategy("recurrence")
-    return PlanReport(
-        n=n,
-        strategy=strategy,
-        program=program,
-        muls=program.declared_muls,
-        predicted=predicted_cost(strategy, n),
-        reduction_trace=tuple(trace),
-        method=f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else ""),
-    )
+    leaf = lambda bb, xx: emit_recurrence(bb, xx, level).value
+    value = _emit_power_cascade(b, x, RECURRENCE_SIZES[level], exponent, leaf, trace)
+    return value, f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else "")
 
 
 def _exact_log(n: int, base: int) -> int | None:
     """e with base**e == n, else None."""
-    if n < base:
-        return None
     e = 0
     while n % base == 0:
         n //= base
@@ -549,115 +477,116 @@ def _prime_power_form(n: int) -> tuple[int, int] | None:
     return None
 
 
-class AutoPlanner:
-    """Cheapest-of-all-strategies planner over one cost model.
+def _emit_factor(b: ProgramBuilder, x: int, n: int, model: CostModel) -> int:
+    """The plan for length n that the factor-split memo ``model.splits`` chose."""
+    _, decision = model.splits[n]
+    if decision[0] == "chain":
+        return emit_series_chain(b, x, n).value
+    if decision[0] == "recurrence":
+        return emit_recurrence(b, x, decision[1]).value
+    k = decision[1]
+    left = lambda bb, xx: _emit_factor(bb, xx, k, model)
+    return _emit_split(b, x, left, lambda bb, power: _emit_factor(bb, power, n // k, model))
 
-    It holds no state but ``model``.  The factor-split memo it reads
-    lives on the model, so every planner over the same model shares it;
-    the memo is filled with values that depend only on the length and
-    the model, so concurrent use returns identical results.
+
+def _emit_auto(
+    b: ProgramBuilder, x: int, n: int, model: CostModel, trace: list[tuple[int, int, int]]
+) -> tuple[int, str, int]:
+    """The cheapest of prime power, recurrence power, mixed and factor splits.
+
+    Each candidate is counted without building it; ties go to the earlier
+    one in that order.  Returns the output register, the winner's method
+    and the multiplications its count promised.
+    """
+    if n == 1:
+        return b.one(), "chain:1", 0
+    candidates: list[tuple[int, str]] = []
+    pp = _prime_power_form(n)
+    if pp is not None:
+        p, e = pp
+        candidates.append((model.cost(p, 0) * e - 2, "prime_power"))
+    rec_options = _recurrence_power_options(n)
+    if rec_options:
+        candidates.append((min(rec_options)[0], "recurrence"))
+    candidates.append((mixed_mul_count(n, DEFAULT_MIXED_BASES, model), "mixed"))
+    candidates.append((model.splits[n][0], "factor"))
+    muls, winner = min(candidates, key=lambda c: c[0])
+
+    if winner == "prime_power":
+        value, method = _emit_power_cascade(b, x, p, e, _chain(p), trace), f"prime:{p}"
+    elif winner == "recurrence":
+        value, method = _emit_recurrence_power(b, x, n, trace)
+    elif winner == "mixed":
+        value = _emit_mixed(b, x, n, DEFAULT_MIXED_BASES, model, trace)
+        method = Strategy("mixed", bases=DEFAULT_MIXED_BASES).label()
+    else:
+        value, method = _emit_factor(b, x, n, model), "factor"
+    return value, method, muls
+
+
+class AutoPlanner:
+    """``plan(n, "auto", model)`` over one cost model, its only state.
+
+    Every planner over the same model shares the model's factor-split
+    memo, whose values depend only on the length and the model, so
+    concurrent use returns identical results.
     """
 
     def __init__(self, model: CostModel | None = None) -> None:
         self.model = model or default_cost_model()
 
-    def _dp_build(self, b: ProgramBuilder, x: int, n: int) -> int:
-        _, decision = self.model.splits[n]
-        if decision[0] == "chain":
-            return emit_series_chain(b, x, n).value
-        if decision[0] == "recurrence":
-            return emit_recurrence(b, x, decision[1]).value
-        k = decision[1]
-        return _emit_split(
-            b,
-            x,
-            lambda bb, xx: self._dp_build(bb, xx, k),
-            lambda bb, power: self._dp_build(bb, power, n // k),
-        )
-
     def plan(self, n: int) -> PlanReport:
-        if n < 1:
-            raise ValueError("series length must be >= 1")
-        if n == 1:
-            rep = plan_prime_power(2, 0)
-            return PlanReport(
-                n=1,
-                strategy=Strategy("auto"),
-                program=rep.program,
-                muls=0,
-                predicted=None,
-                reduction_trace=(),
-                method="chain:1",
-            )
-        candidates: list[tuple[int, int, str]] = []
-        pp = _prime_power_form(n)
-        if pp is not None:
-            p, e = pp
-            candidates.append((self.model.cost(p, 0) * e - 2, 0, "prime_power"))
-        rec_options = _recurrence_power_options(n)
-        if rec_options:
-            candidates.append((min(rec_options)[0], 1, "recurrence"))
-        candidates.append((mixed_mul_count(n, DEFAULT_MIXED_BASES, self.model), 2, "mixed"))
-        candidates.append((self.model.splits[n][0], 3, "factor"))
-        muls, _, winner = min(candidates, key=lambda c: (c[0], c[1]))
-
-        if winner == "prime_power":
-            base_rep = plan_prime_power(pp[0], pp[1], self.model)
-        elif winner == "recurrence":
-            base_rep = plan_recurrence(n)
-        elif winner == "mixed":
-            base_rep = plan_mixed(n, DEFAULT_MIXED_BASES, self.model)
-        else:
-            b = ProgramBuilder()
-            value = self._dp_build(b, b.input(), n)
-            program = b.finish(value, n)
-            base_rep = PlanReport(
-                n=n,
-                strategy=Strategy("auto"),
-                program=program,
-                muls=program.declared_muls,
-                predicted=None,
-                reduction_trace=(),
-                method="factor",
-            )
-        if base_rep.muls != muls:
-            raise AssertionError(
-                f"planner count mismatch for n={n}: expected {muls}, built {base_rep.muls}"
-            )
-        return PlanReport(
-            n=n,
-            strategy=Strategy("auto"),
-            program=base_rep.program,
-            muls=base_rep.muls,
-            predicted=None,
-            reduction_trace=base_rep.reduction_trace,
-            method=base_rep.method if winner != "prime_power" else base_rep.strategy.label(),
-        )
+        return plan(n, "auto", self.model)
 
 
 def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = None) -> PlanReport:
     """Build a plan for length n under the given strategy.
 
-    The entry point for every strategy; the ``plan_*`` functions are its
-    per-strategy steps.
+    The one function that finishes a program and builds a PlanReport:
+    each strategy is a private emitter that writes onto one shared
+    ProgramBuilder, and ``auto``'s program is checked against the count
+    its choice promised.
     """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
-    if strategy.kind == "auto":
-        return AutoPlanner(model).plan(n)
-    if strategy.kind == "direct":
-        return plan_direct(n)
-    if strategy.kind in ("binary", "ternary", "mixed"):
-        bases = {"binary": (2,), "ternary": (3,)}.get(strategy.kind, strategy.bases)
-        return plan_mixed(n, bases, model, _strategy=strategy)
-    if strategy.kind == "recurrence":
-        return plan_recurrence(n)
-    if strategy.kind == "prime_power":
-        e = _exact_log(n, strategy.base) if n > 1 else 0
+    if n < 1:
+        raise ValueError("series length must be >= 1")
+    model = model or default_cost_model()
+    kind = strategy.kind
+    b = ProgramBuilder()
+    x = b.input()
+    trace: list[tuple[int, int, int]] = []
+    method = strategy.label()
+    if kind == "direct":
+        value = _emit_horner(b, x, n)
+    elif kind in ("binary", "ternary", "mixed"):
+        bases = {"binary": (2,), "ternary": (3,)}.get(kind, strategy.bases)
+        value = _emit_mixed(b, x, n, bases, model, trace)
+    elif kind == "prime_power":
+        base = strategy.base
+        e = _exact_log(n, base)
         if e is None:
-            raise ValueError(f"{n} is not a power of {strategy.base}")
-        return plan_prime_power(strategy.base, e, model)
-    raise ValueError(f"unhandled strategy {strategy.kind!r}")
+            raise ValueError(f"{n} is not a power of {base}")
+        value = _emit_power_cascade(b, x, base, e, _chain(base), trace)
+    elif kind == "recurrence":
+        value, method = _emit_recurrence_power(b, x, n, trace)
+    else:
+        value, method, expected = _emit_auto(b, x, n, model, trace)
+    program = b.finish(value, n)
+    if kind == "auto" and program.declared_muls != expected:
+        raise AssertionError(
+            f"planner count mismatch for n={n}: expected {expected}, "
+            f"built {program.declared_muls}"
+        )
+    return PlanReport(
+        n=n,
+        strategy=strategy,
+        program=program,
+        muls=program.declared_muls,
+        predicted=None if kind in ("auto", "mixed") else predicted_cost(strategy, n),
+        reduction_trace=tuple(trace),
+        method=method,
+    )
 
 
 def predicted_cost(strategy: Strategy | str, n: int) -> float:
@@ -701,10 +630,6 @@ __all__ = [
     "default_cost_model",
     "choose_base",
     "plan",
-    "plan_direct",
-    "plan_mixed",
-    "plan_prime_power",
-    "plan_recurrence",
     "mixed_mul_count",
     "predicted_cost",
     "AutoPlanner",

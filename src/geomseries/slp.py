@@ -539,20 +539,6 @@ def passes_oracle(program: SlpProgram) -> bool:
     return oracle_facts(program).passes
 
 
-def horner_program(n: int) -> SlpProgram:
-    """The baseline plan as a program: n - 2 multiplications for n >= 2."""
-    if n < 1:
-        raise ValueError("series length must be >= 1")
-    b = ProgramBuilder()
-    x = b.input()
-    if n == 1:
-        return b.finish(b.one(), 1)
-    acc = b.add(b.one(), x)
-    for _ in range(n - 2):
-        acc = b.add(b.one(), b.mul(x, acc))
-    return b.finish(acc, n)
-
-
 PROGRAM_FORMAT_VERSION = 1
 
 
@@ -621,7 +607,6 @@ __all__ = [
     "mul_count",
     "add_count",
     "validate",
-    "horner_program",
     "to_json",
     "from_json",
     "PROGRAM_FORMAT_VERSION",

@@ -13,12 +13,7 @@ import pytest
 from geomseries import chains, linalg, markov
 from geomseries.asymptotic import compute_k, verify_floor_identity
 from geomseries.chains import RECURRENCE_SIZES
-from geomseries.planner import (
-    AutoPlanner,
-    default_cost_model,
-    plan,
-    plan_prime_power,
-)
+from geomseries.planner import AutoPlanner, default_cost_model, plan
 from geomseries.slp import oracle_facts, passes_oracle
 
 VERIFY_MAX = 4096
@@ -45,7 +40,7 @@ def test_acceptance_oracle_soundness(auto_planner):
     for p in (2, 3, 5, 7, 11):
         e = 1
         while p**e <= VERIFY_MAX:
-            assert _passes_at_8_bits(plan_prime_power(p, e).program), (p, e)
+            assert _passes_at_8_bits(plan(p**e, f"prime:{p}").program), (p, e)
             checked += 1
             e += 1
     for level in range(1, 5):
@@ -71,7 +66,7 @@ def test_acceptance_exact_count_reproduction(auto_planner):
     for p, per in per_level.items():
         e = 1
         while p**e <= VERIFY_MAX:
-            assert plan_prime_power(p, e).muls == per * e - 2
+            assert plan(p**e, f"prime:{p}").muls == per * e - 2
             e += 1
     for level in range(1, 7):
         assert plan(RECURRENCE_SIZES[level], "recurrence").muls == 2**level - 2

@@ -401,6 +401,17 @@ def test_build_chain_validation():
         build_chain((3, 2), modulus=7)
 
 
+def test_mixed_bases_are_checked_in_one_place():
+    # the strategy, the count walker and the chain share one check
+    for call in (
+        lambda: mixed_mul_count(10, (2, 2)),
+        lambda: mixed_mul_count(10**6, (3, 3)),
+        lambda: build_chain((2, 2)),
+    ):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            call()
+
+
 def test_empirical_coefficient_three_two():
     got = empirical_coefficient_stats((3, 2), 800, (10**3, 10**6), seed=7)[0]
     assert abs(got - 1.9245) <= 0.03
@@ -431,3 +442,9 @@ def test_empirical_validation():
         empirical_coefficient_stats((3, 2), 10, (1, 100), 0)
     with pytest.raises(ValueError):
         empirical_slope_stats((3, 2), 2, (10.0, 20.0), 0)
+
+
+def test_slope_over_a_single_length_names_the_exponent_range():
+    # every sample of 2**u for u in [1, 1.5) is N = 2, so no slope exists
+    with pytest.raises(ValueError, match=r"exponent range \(1.0, 1.5\)"):
+        empirical_slope_stats((3, 2), 10, (1.0, 1.5))

@@ -16,10 +16,6 @@ from geomseries.planner import (
     default_cost_model,
     mixed_mul_count,
     plan,
-    plan_direct,
-    plan_mixed,
-    plan_prime_power,
-    plan_recurrence,
     predicted_cost,
 )
 from geomseries.slp import (
@@ -98,9 +94,9 @@ def test_strategy_parsing():
 
 
 def test_prime_power_examples():
-    assert plan_prime_power(5, 3).muls == 10  # N = 125
-    assert plan_prime_power(2, 10).muls == 18  # N = 1024
-    assert plan_prime_power(3, 2).muls == 4  # N = 9
+    assert plan(125, "prime:5").muls == 10
+    assert plan(1024, "prime:2").muls == 18
+    assert plan(9, "prime:3").muls == 4
 
 
 def test_prime_power_closed_form_is_exact():
@@ -109,7 +105,7 @@ def test_prime_power_closed_form_is_exact():
         assert default_cost_model().cost(p, 0) == per_level
         e = 1
         while p**e <= 4096:
-            rep = plan_prime_power(p, e)
+            rep = plan(p**e, f"prime:{p}")
             assert rep.muls == per_level * e - 2
             assert rep.n == p**e
             assert passes_oracle(rep.program)
@@ -117,20 +113,20 @@ def test_prime_power_closed_form_is_exact():
 
 
 def test_prime_power_zero_exponent_is_identity_plan():
-    rep = plan_prime_power(5, 0)
+    rep = plan(1, "prime:5")
     assert rep.n == 1 and rep.muls == 0
     assert eval_poly_oracle(rep.program) == DensePoly.one()
 
 
 def test_prime_power_fallback_base_without_builtin_chain():
-    rep = plan_prime_power(13, 2)
+    rep = plan(169, "prime:13")
     assert rep.n == 169
     assert rep.muls == (chain_muls(13) + 2) * 2 - 2
     assert passes_oracle(rep.program)
 
 
 def test_prime_power_trace_shape():
-    rep = plan_prime_power(5, 3)
+    rep = plan(125, "prime:5")
     assert rep.reduction_trace == ((125, 5, 0), (25, 5, 0))
 
 
@@ -138,19 +134,19 @@ def test_prime_power_trace_shape():
 
 
 def test_mixed_base_two_step_chosen_for_two_mod_three():
-    rep = plan_mixed(8, (3, 2))
+    rep = plan(8, "mixed:3,2")
     assert rep.reduction_trace[0] == (8, 2, 0)
     assert passes_oracle(rep.program)
 
 
 def test_mixed_length_one_is_empty_plan():
-    rep = plan_mixed(1, (3, 2))
+    rep = plan(1, "mixed:3,2")
     assert rep.muls == 0
     assert eval_poly_oracle(rep.program) == DensePoly.one()
 
 
 def test_mixed_six_uses_base_three_then_terminal_two():
-    rep = plan_mixed(6, (3, 2))
+    rep = plan(6, "mixed:3,2")
     assert rep.reduction_trace == ((6, 3, 0),)
     assert rep.muls == 3
     assert eval_poly_oracle(rep.program) == DensePoly.all_ones(6)
@@ -159,14 +155,15 @@ def test_mixed_six_uses_base_three_then_terminal_two():
 def test_mixed_count_walker_matches_built_plans():
     model = default_cost_model()
     for n in range(1, 1200):
-        assert mixed_mul_count(n, model=model) == plan_mixed(n, model=model).muls
+        assert mixed_mul_count(n, model=model) == plan(n, "mixed", model).muls
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(10**4, 10**6)
-        assert mixed_mul_count(n, model=model) == plan_mixed(n, model=model).muls
+        assert mixed_mul_count(n, model=model) == plan(n, "mixed", model).muls
     for bases in ((3, 2), (5, 2), (7,), (5,)):
+        strategy = Strategy("mixed", bases=bases)
         for n in range(1, 300):
-            assert mixed_mul_count(n, bases, model) == plan_mixed(n, bases, model).muls
+            assert mixed_mul_count(n, bases, model) == plan(n, strategy, model).muls
 
 
 @pytest.mark.parametrize("bases", [(2,), (3,), (9, 2), (6, 5, 2), (4, 3)])
@@ -176,18 +173,19 @@ def test_table_walker_matches_built_plans(bases):
     model = CostModel()
     table = model.mixed_table(bases)
     assert table.threshold == max(2 * max(bases), 12)
+    strategy = Strategy("mixed", bases=bases)
     for n in range(1, 3000):
-        assert mixed_mul_count(n, bases, model) == plan_mixed(n, bases, model).muls, n
+        assert mixed_mul_count(n, bases, model) == plan(n, strategy, model).muls, n
     rng = random.Random(sum(bases))
     for bits in (40, 100, 200):
         for _ in range(8):
             n = rng.randint(1, 2**bits)
-            assert mixed_mul_count(n, bases, model) == plan_mixed(n, bases, model).muls, n
+            assert mixed_mul_count(n, bases, model) == plan(n, strategy, model).muls, n
 
 
 def test_mixed_trace_monotone_and_consistent():
     for n in (97, 500, 2310, 4096):
-        rep = plan_mixed(n)
+        rep = plan(n, "mixed")
         lengths = [step[0] for step in rep.reduction_trace]
         assert all(a > b for a, b in zip(lengths, lengths[1:]))
         for (nk, base, residue), nxt in zip(rep.reduction_trace, lengths[1:]):
@@ -196,14 +194,14 @@ def test_mixed_trace_monotone_and_consistent():
 
 
 def test_mixed_handles_base_larger_than_length():
-    rep = plan_mixed(4, (7,))
+    rep = plan(4, "mixed:7")
     assert rep.muls == 2  # falls back to the parity-rule chain for 4
     assert passes_oracle(rep.program)
 
 
 def test_mixed_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        plan_mixed(0)
+        plan(0, "mixed")
     with pytest.raises(ValueError):
         plan(10, Strategy("mixed", bases=(2, 2)))
 
@@ -217,7 +215,7 @@ def test_mixed_fuzz_over_unusual_base_sets():
     for _ in range(120):
         bases = rng.choice(pool)
         n = rng.randint(1, 2500)
-        rep = plan_mixed(n, bases)
+        rep = plan(n, Strategy("mixed", bases=bases))
         assert passes_oracle(rep.program), (n, bases)
         assert rep.muls == mixed_mul_count(n, bases), (n, bases)
         assert evaluate(rep.program, 1) == n
@@ -227,15 +225,15 @@ def test_mixed_fuzz_over_unusual_base_sets():
 
 
 def test_recurrence_plan_examples():
-    assert plan_recurrence(26).muls == 6
-    assert plan_recurrence(677).muls == 14
-    assert plan_recurrence(676).muls == 14  # 26^2 via one cascade level
-    assert passes_oracle(plan_recurrence(676).program)
+    assert plan(26, "recurrence").muls == 6
+    assert plan(677, "recurrence").muls == 14
+    assert plan(676, "recurrence").muls == 14  # 26^2 via one cascade level
+    assert passes_oracle(plan(676, "recurrence").program)
 
 
 def test_recurrence_plan_rejects_non_powers():
     with pytest.raises(ValueError):
-        plan_recurrence(27)
+        plan(27, "recurrence")
 
 
 # -- auto ---------------------------------------------------------------------------
@@ -301,9 +299,16 @@ def test_plan_dispatch_and_labels():
         plan(10, "prime:3")
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_every_strategy_rejects_non_positive_lengths(n):
+    for spelling in ("auto", "direct", "binary", "ternary", "mixed", "prime:2", "recurrence"):
+        with pytest.raises(ValueError, match="series length must be >= 1"):
+            plan(n, spelling)
+
+
 def test_direct_plan_is_baseline():
     for n in (1, 2, 5, 9, 40):
-        rep = plan_direct(n)
+        rep = plan(n, "direct")
         assert rep.muls == max(n - 2, 0)
         assert passes_oracle(rep.program)
         assert rep.predicted == float(max(n - 2, 0))
@@ -317,7 +322,7 @@ def test_predicted_cost_prime_power_five():
         n = 5**e
         got = predicted_cost(Strategy("prime_power", base=5), n)
         assert got == pytest.approx(4 * math.log2(n) / math.log2(5) - 2, abs=1e-9)
-        assert got == pytest.approx(plan_prime_power(5, e).muls, abs=1e-9)
+        assert got == pytest.approx(plan(n, "prime:5").muls, abs=1e-9)
 
 
 def test_predicted_cost_prime_power_eleven_coefficient():
@@ -367,12 +372,12 @@ def _pinned_plan_reports():
     for p in (2, 3, 5, 7, 11, 13):
         e = 0
         while p**e <= 4096:
-            yield p**e, f"prime:{p}", plan_prime_power(p, e)
+            yield p**e, f"prime:{p}", plan(p**e, f"prime:{p}")
             e += 1
     for y in chains.RECURRENCE_SIZES[1:5]:
         n = y
         while n <= 4096:
-            yield n, "recurrence", plan_recurrence(n)
+            yield n, "recurrence", plan(n, "recurrence")
             n *= y
 
 

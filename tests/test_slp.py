@@ -24,7 +24,6 @@ from geomseries.slp import (
     evaluate,
     evaluate_mod,
     from_json,
-    horner_program,
     mul_count,
     oracle_facts,
     passes_oracle,
@@ -338,7 +337,7 @@ def test_polynomial_of_register_reads_intermediates():
 
 def test_horner_values_match_brute_force():
     for n in range(1, 80):
-        prog = horner_program(n)
+        prog = plan(n, "direct").program
         for x in (-2, -1, 0, 1, 2, 3, Fraction(1, 3)):
             assert evaluate(prog, x) == brute_series(n, x)
 
@@ -346,26 +345,14 @@ def test_horner_values_match_brute_force():
 def test_horner_mul_counts():
     for n, want in ((1, 0), (2, 0), (3, 1), (9, 7), (50, 48)):
         counter = [0]
-        evaluate(horner_program(n), CountingInt(2, counter))
+        evaluate(plan(n, "direct").program, CountingInt(2, counter))
         assert counter[0] == want
 
 
 def test_horner_example_n3():
     counter = [0]
-    out = evaluate(horner_program(3), CountingInt(2, counter))
+    out = evaluate(plan(3, "direct").program, CountingInt(2, counter))
     assert out.v == 7 and counter[0] == 1
-
-
-def test_horner_rejects_zero_length():
-    with pytest.raises(ValueError):
-        horner_program(0)
-
-
-def test_horner_program_counts_and_oracle():
-    for n in (1, 2, 3, 9, 31):
-        prog = horner_program(n)
-        assert prog.declared_muls == max(n - 2, 0)
-        assert passes_oracle(prog)
 
 
 def test_horner_baseline_matches_oracle_polynomial_up_to_512():
@@ -373,7 +360,7 @@ def test_horner_baseline_matches_oracle_polynomial_up_to_512():
     for n in [1, 2, 3, 5, 17, 64, 129, 255, 311, 512]:
         x = rng.randint(-3, 3)
         prog = plan(n, "auto").program
-        assert evaluate(horner_program(n), x) == eval_poly_oracle(prog)(x)
+        assert evaluate(plan(n, "direct").program, x) == eval_poly_oracle(prog)(x)
 
 
 # -- structure ----------------------------------------------------------------
@@ -412,7 +399,7 @@ def test_json_round_trip_is_bit_exact():
     for prog in (
         small_chain(11),
         plan(60, "mixed:5,3,2").program,
-        horner_program(7),
+        plan(7, "direct").program,
     ):
         text = to_json(prog)
         again = from_json(text)
@@ -421,7 +408,7 @@ def test_json_round_trip_is_bit_exact():
 
 
 def test_json_rejects_unknown_version():
-    doc = json.loads(to_json(horner_program(3)))
+    doc = json.loads(to_json(plan(3, "direct").program))
     doc["version"] = 99
     with pytest.raises(ProgramError):
         from_json(json.dumps(doc))
