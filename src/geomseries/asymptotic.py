@@ -26,6 +26,7 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN
 from .chains import MAX_RECURRENCE_LEVEL, RECURRENCE_SIZES
 
 MAX_PRECISION = 50
+_FLOOR_PRECISION = 40  # decimal places of k behind verify_floor_identity
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,17 @@ def compute_k(precision: int) -> AsymptoticResult:
     )
 
 
-def verify_floor_identity(n_max: int, precision: int = 40) -> list[FloorCheck]:
+def verify_floor_identity(n_max: int) -> list[FloorCheck]:
     """Certify floor(k^(2^n)) == y(n) for n = 0..n_max (n_max <= 6).
 
-    The power is tracked as an interval under outward rounding; a row is
-    decided only when both endpoints share their integer part.
+    k is enclosed to 40 decimal places, and its power is tracked as an
+    interval under outward rounding; a row is decided only when both
+    endpoints share their integer part.
     """
     if not (0 <= n_max <= MAX_RECURRENCE_LEVEL):
         raise ValueError(f"n_max must be in [0, {MAX_RECURRENCE_LEVEL}]")
-    result = compute_k(min(precision, MAX_PRECISION))
-    lo_ctx, hi_ctx = _contexts(min(precision, MAX_PRECISION) + 12)
+    result = compute_k(_FLOOR_PRECISION)
+    lo_ctx, hi_ctx = _contexts(_FLOOR_PRECISION + 12)
     lo, hi = result.k_low, result.k_high
     rows: list[FloorCheck] = []
     for n in range(n_max + 1):

@@ -225,7 +225,7 @@ def cmd_markov(args) -> int:
             row["stationary"] = [str(p) for p in result.dist]
         if args.empirical:
             mean, stderr = markov.empirical_coefficient_stats(
-                bases, args.empirical, (args.nmin, args.nmax), args.seed, model
+                bases, args.empirical, (args.nmin, args.nmax), args.seed
             )
             row["empirical"] = mean
             row["empirical_stderr"] = stderr

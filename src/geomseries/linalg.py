@@ -261,34 +261,22 @@ def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 
 def neumann_invert(
-    a,
-    terms: int,
-    plan: SlpProgram | None = None,
-    *,
-    strategy: str = "auto",
-    allow_divergent: bool = False,
+    a, terms: int, *, strategy: str = "auto", allow_divergent: bool = False
 ) -> tuple[np.ndarray, NeumannReport]:
     """Approximate inverse from the length-``terms`` series plan at B = I - A.
 
-    Executes exactly the plan's declared number of matrix-matrix
-    multiplications (counted by the engine, and checked).  Raises
-    ConvergenceError unless ``allow_divergent`` when I - A has estimated
-    spectral radius >= 1, or when the result is non-finite or its
-    residual ||I - A X||_F = ||B^terms||_F is at least sqrt(n) = ||I||_F,
-    that is no better than X = 0.  A non-finite result that is let through
-    reports an infinite residual.
+    The plan is ``plan(terms, strategy)``, and the report's ``strategy`` is
+    that plan's method.  Executes exactly the plan's number of
+    matrix-matrix multiplications (counted by the engine, and checked).
+    Raises ConvergenceError unless ``allow_divergent`` when I - A has
+    estimated spectral radius >= 1, or when the result is non-finite or
+    its residual ||I - A X||_F = ||B^terms||_F is at least sqrt(n) =
+    ||I||_F, that is no better than X = 0.  A non-finite result that is
+    let through reports an infinite residual.
     """
     m = _as_square(a)
-    if plan is None:
-        report = build_plan(terms, strategy)
-        plan = report.program
-        strategy_label = report.method
-    else:
-        strategy_label = strategy
-    if plan.series_length != terms:
-        raise ValueError(
-            f"plan is for length {plan.series_length}, not the requested {terms}"
-        )
+    report = build_plan(terms, strategy)
+    plan = report.program
     n = m.shape[0]
     b = _identity_minus(m)
     rho = spectral_radius_estimate(b)
@@ -319,7 +307,7 @@ def neumann_invert(
     rep = NeumannReport(
         n=n,
         terms=terms,
-        strategy=strategy_label,
+        strategy=report.method,
         matrix_muls=products,
         wall_time=wall,
         residual_fro=res,

@@ -64,13 +64,6 @@ class ResidueChain:
     def __hash__(self) -> int:
         return hash((self.bases, self.modulus, self.policy))
 
-    def dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.modulus for _ in range(self.modulus)]
-        for i, row in enumerate(self.rows):
-            for t, p in row:
-                out[i][t] += p
-        return out
-
 
 @dataclass(frozen=True)
 class SolverFacts:
@@ -420,7 +413,6 @@ def empirical_coefficient_stats(
     sample_count: int,
     n_range: tuple[int, int],
     seed: int,
-    model: CostModel | None = None,
 ) -> tuple[float, float]:
     """(mean, standard error) of (muls + 2) / log2(N) over uniform N.
 
@@ -435,7 +427,7 @@ def empirical_coefficient_stats(
         raise ValueError("need 2 <= lo <= hi")
     if sample_count < 2:
         raise ValueError("need at least two samples")
-    model = model or default_cost_model()
+    model = default_cost_model()
     credit = model.terminal_credit
     count_muls = model.mixed_table(bases).count
     rng = random.Random(seed)
@@ -453,7 +445,6 @@ def empirical_slope_stats(
     sample_count: int,
     exponent_range: tuple[float, float] = (10.0, 40.0),
     seed: int = 0,
-    model: CostModel | None = None,
 ) -> tuple[float, float]:
     """(slope, standard error) of muls against log2(N) over log-uniform N.
 
@@ -466,7 +457,7 @@ def empirical_slope_stats(
         raise ValueError("need 1 <= lo < hi exponents")
     if sample_count < 3:
         raise ValueError("need at least three samples")
-    model = model or default_cost_model()
+    model = default_cost_model()
     credit = model.terminal_credit
     count_muls = model.mixed_table(bases).count
     rng = random.Random(seed)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Hashable
 
 from .chains import (
     MAX_RECURRENCE_LEVEL,
@@ -208,19 +208,21 @@ MEMO_CAP = 2**16
 class _Memo(dict):
     """A dict that fills a missing key with ``fill(key)`` on first lookup.
 
-    Once it holds MEMO_CAP entries it stops storing and computes every
-    further miss afresh, so the keys it keeps are the first ones filled:
-    in an ascending sweep, the small divisors every later length reuses.
-    Threads that race past the cap may each store one more entry.  Every
-    value is a pure function of its key, so threads that fill the same key
-    agree.
+    The keys are lengths or residues (factor splits, mixed levels and
+    tails), (base, residue) pairs (level costs) or bases tuples (mixed
+    tables), and every memo holds at most MEMO_CAP of them: once full it
+    stops storing and computes every further miss afresh, so the keys it
+    keeps are the first ones filled; in an ascending sweep, the small
+    divisors every later length reuses.  Threads that race past the cap
+    may each store one more entry.  Every value is a pure function of its
+    key, so threads that fill the same key agree.
     """
 
-    def __init__(self, fill: Callable[[int], object]) -> None:
+    def __init__(self, fill: Callable[[Hashable], object]) -> None:
         super().__init__()
         self.fill = fill
 
-    def __missing__(self, key: int):
+    def __missing__(self, key: Hashable):
         got = self.fill(key)
         if len(self) < MEMO_CAP:
             self[key] = got
@@ -236,17 +238,19 @@ class CostModel:
     pins the base-2 and base-3 values: cost(2, *) = 2, cost(3, 0) =
     cost(3, 1) = 3, cost(3, 2) = 4.  ``terminal_credit`` is the pair of
     multiplications (power + join) the last level never spends.  The
-    model also keeps one lazily filled ``mixed_table`` per bases set and
-    the factor-split memo ``splits``: ``splits[n]`` is the (muls,
-    decision) of the cheapest plan for length n that the dynamic program
-    over factor splits finds.
+    model keeps its state in three memos: the level costs, one lazily
+    filled ``mixed_table`` per bases set, and the factor-split memo
+    ``splits``: ``splits[n]`` is the (muls, decision) of the cheapest plan
+    for length n that the dynamic program over factor splits finds.
     """
 
     terminal_credit = 2
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[int, int], int] = {}
-        self._tables: dict[tuple[int, ...], MixedTable] = {}
+        self._costs = _Memo(
+            lambda key: _emitted_muls(lambda b, x: _emit_level(b, x, *key, lambda _, power: power))
+        )
+        self._tables = _Memo(lambda bases: MixedTable(bases, self))
         self.splits = _Memo(self._best_split)
 
     def cost(self, base: int, residue: int) -> int:
@@ -254,25 +258,11 @@ class CostModel:
             raise ValueError("base must be >= 2")
         if not (0 <= residue < base):
             raise ValueError(f"residue {residue} out of range for base {base}")
-        key = (base, residue)
-        got = self._cache.get(key)
-        if got is None:
-            got = _emitted_muls(
-                lambda b, x: _emit_level(b, x, base, residue, lambda _, power: power)
-            )
-            self._cache[key] = got
-        return got
-
-    def table(self, bases: tuple[int, ...]) -> dict[tuple[int, int], int]:
-        return {(p, r): self.cost(p, r) for p in sorted(bases) for r in range(p)}
+        return self._costs[base, residue]
 
     def mixed_table(self, bases: tuple[int, ...]) -> "MixedTable":
         """The mixed policy's level table for ``bases`` under this model."""
-        key = tuple(bases)
-        got = self._tables.get(key)
-        if got is None:
-            got = self._tables[key] = MixedTable(key, self)
-        return got
+        return self._tables[tuple(bases)]
 
     def _best_split(self, n: int) -> tuple[int, tuple]:
         """Cheapest of the length's leaves and its splits k * (n / k).
@@ -395,6 +385,11 @@ def mixed_mul_count(
     if n < 1:
         raise ValueError("series length must be >= 1")
     return (model or default_cost_model()).mixed_table(tuple(bases)).count(n)
+
+
+# The nested baseline spends 2n instructions, 22 MiB at n = 10**5, so
+# longer direct plans are refused rather than built.
+_MAX_DIRECT_LENGTH = 2**16
 
 
 def _emit_horner(b: ProgramBuilder, x: int, n: int) -> int:
@@ -558,6 +553,8 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     trace: list[tuple[int, int, int]] = []
     method = strategy.label()
     if kind == "direct":
+        if n > _MAX_DIRECT_LENGTH:
+            raise ValueError(f"direct plans are capped at length {_MAX_DIRECT_LENGTH}, got {n}")
         value = _emit_horner(b, x, n)
     elif kind in ("binary", "ternary", "mixed"):
         bases = {"binary": (2,), "ternary": (3,)}.get(kind, strategy.bases)
@@ -605,13 +602,9 @@ def predicted_cost(strategy: Strategy | str, n: int) -> float:
     if n == 1:
         return 0.0
     ln = math.log2(n)
-    if strategy.kind == "binary":
-        return 2.0 * ln - 2.0
-    if strategy.kind == "ternary":
-        return 3.0 * ln / math.log2(3) - 2.0
-    if strategy.kind == "prime_power":
-        per_level = default_cost_model().cost(strategy.base, 0)
-        return per_level * ln / math.log2(strategy.base) - 2.0
+    if strategy.kind in ("binary", "ternary", "prime_power"):
+        base = {"binary": 2, "ternary": 3}.get(strategy.kind, strategy.base)
+        return default_cost_model().cost(base, 0) * ln / math.log2(base) - 2.0
     if strategy.kind == "recurrence":
         options = _recurrence_power_options(n)
         if not options:

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from numbers import Number
 from typing import NamedTuple
 
@@ -63,17 +64,21 @@ class SlpProgram:
     """An immutable evaluation plan for a length-N geometric series.
 
     ``instrs[i]`` writes register ``i``; operands always point at earlier
-    registers, so evaluation is a single forward pass.  ``declared_muls``
-    is redundant (recomputable) and cross-checked by :func:`validate`.
+    registers, so evaluation is a single forward pass.  The multiplication
+    count is not stored: ``declared_muls`` counts the MUL instructions on
+    first read and keeps the result.
     """
 
     instrs: tuple[Instr, ...]
     output: int
     series_length: int
-    declared_muls: int
 
     def __post_init__(self) -> None:
         validate(self)
+
+    @cached_property
+    def declared_muls(self) -> int:
+        return mul_count(self)
 
 
 def mul_count(program: SlpProgram) -> int:
@@ -114,11 +119,6 @@ def validate(program: SlpProgram) -> None:
         raise ProgramError(f"output register {program.output} out of range")
     if program.series_length < 1:
         raise ProgramError("series_length must be positive")
-    muls = mul_count(program)
-    if program.declared_muls != muls:
-        raise ProgramError(
-            f"declared_muls={program.declared_muls} but program has {muls} MULs"
-        )
 
 
 class ProgramBuilder:
@@ -170,9 +170,7 @@ class ProgramBuilder:
         return acc
 
     def finish(self, output: int, series_length: int) -> SlpProgram:
-        instrs = tuple(self.instrs)
-        muls = sum(1 for ins in instrs if ins.op == MUL)
-        return SlpProgram(instrs, output, series_length, muls)
+        return SlpProgram(tuple(self.instrs), output, series_length)
 
 
 def _ring_one(x):
@@ -515,11 +513,6 @@ def eval_poly_oracle(program: SlpProgram) -> DensePoly:
     return DensePoly(_coefficients(value, length, bits))
 
 
-def polynomial_of_register(program: SlpProgram, register: int) -> DensePoly:
-    """Exact polynomial held by an arbitrary register (for inspecting plans)."""
-    return eval_poly_oracle(replace(program, output=register))
-
-
 def oracle_facts(program: SlpProgram) -> OracleFacts:
     """The oracle's verdict with the digit width, scans and retries it took.
 
@@ -573,13 +566,7 @@ def from_json(text: str) -> SlpProgram:
                 instrs.append(Instr(op, entry["a"], entry["b"]))
             else:
                 instrs.append(Instr(op))
-        out = tuple(instrs)
-        return SlpProgram(
-            out,
-            doc["output"],
-            doc["series_length"],
-            sum(1 for ins in out if ins.op == MUL),
-        )
+        return SlpProgram(tuple(instrs), doc["output"], doc["series_length"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ProgramError):
             raise
@@ -600,7 +587,6 @@ __all__ = [
     "evaluate",
     "evaluate_mod",
     "eval_poly_oracle",
-    "polynomial_of_register",
     "passes_oracle",
     "oracle_facts",
     "OracleFacts",

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from geomseries.planner import AutoPlanner, plan
+from geomseries.slp import eval_poly_oracle
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +18,11 @@ def small_chain(p: int):
     A prime power with exponent 1 is that chain itself.
     """
     return plan(p, f"prime:{p}").program
+
+
+def polynomial_of_register(program, register: int):
+    """Exact polynomial held by an arbitrary register of a program."""
+    return eval_poly_oracle(dataclasses.replace(program, output=register))
 
 
 def brute_series(n: int, x):

@@ -1,4 +1,4 @@
-from conftest import brute_series, small_chain
+from conftest import brute_series, polynomial_of_register, small_chain
 from geomseries import chains
 from geomseries.chains import (
     RECURRENCE_SIZES,
@@ -16,7 +16,6 @@ from geomseries.slp import (
     evaluate_mod,
     mul_count,
     passes_oracle,
-    polynomial_of_register,
 )
 
 

@@ -274,6 +274,7 @@ MALFORMED = [
     (("plan", "--n", "0"), 2, ""),
     (("plan", "--n", "0", "--strategy", "prime:2"), 2, "series length"),
     (("plan", "--n", "-4", "--strategy", "prime:3"), 2, "series length"),
+    (("plan", "--n", "65537", "--strategy", "direct"), 2, "direct"),
     (("plan", "--n", "5", "--strategy", "bogus"), 2, ""),
     (("plan", "--n", "10", "--strategy", "prime:3"), 2, ""),
     (("plan", "--n", "10", "--strategy", "mixed:2,2"), 2, ""),

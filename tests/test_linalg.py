@@ -129,10 +129,8 @@ def test_invert_scalar_matches_series_sum():
 def test_invert_scalar_embedding_equals_scalar_eval():
     from geomseries.slp import evaluate
 
-    prog = plan(7, "auto").program
-    a = np.array([[0.75]])
-    a_hat, _ = neumann_invert(a, 7, plan=prog)
-    assert a_hat[0, 0] == evaluate(prog, 1.0 - 0.75)
+    a_hat, _ = neumann_invert(np.array([[0.75]]), 7)
+    assert a_hat[0, 0] == evaluate(plan(7, "auto").program, 1.0 - 0.75)
 
 
 def test_invert_counts_match_plans_exactly():
@@ -187,8 +185,10 @@ def test_invert_rejects_a_result_no_better_than_zero(terms, overflows):
 
 
 def test_invert_report_says_what_ran():
-    prog = plan(26, "auto").program
-    _, rep = neumann_invert(random_test_matrix(12, seed=3), 26, plan=prog)
+    report = plan(26, "auto")
+    prog = report.program
+    _, rep = neumann_invert(random_test_matrix(12, seed=3), 26)
+    assert rep.strategy == report.method
     assert rep.plan_sha256 == linalg.plan_digest(prog)
     assert rep.spectral_radius_converged
     assert 1 <= rep.spectral_radius_iterations <= 200
@@ -200,8 +200,18 @@ def test_invert_validates_inputs():
         neumann_invert(np.ones((2, 3)), 5)
     with pytest.raises(ValueError):
         neumann_invert(np.eye(3) * np.nan, 5)
-    with pytest.raises(ValueError):
-        neumann_invert(np.eye(3), 5, plan=plan(7, "auto").program)
+
+
+def test_invert_checks_the_executed_product_count(monkeypatch):
+    engine = linalg.evaluate
+
+    def one_product_short(program, b):
+        out, products, held = engine(program, b)
+        return out, products - 1, held
+
+    monkeypatch.setattr(linalg, "evaluate", one_product_short)
+    with pytest.raises(AssertionError, match="executed 5 matrix multiplications, plan declared 6"):
+        neumann_invert(random_test_matrix(8, seed=1), 26)
 
 
 # -- matrix engine ----------------------------------------------------------------
@@ -266,12 +276,11 @@ def test_engine_handles_every_use_of_the_identity():
         ]),
         output=11,
         series_length=1,
-        declared_muls=5,
     )
     b = np.eye(5) - random_test_matrix(5, seed=2)
     got, products, _ = evaluate(prog, b)
     assert np.array_equal(got, slp.evaluate(prog, _MatmulRing(b)).a)
-    assert products == 5
+    assert products == prog.declared_muls == 5
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3, 26])

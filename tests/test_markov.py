@@ -21,6 +21,15 @@ from geomseries.planner import CostModel, mixed_mul_count
 F = Fraction
 
 
+def dense(chain):
+    """The chain's transition matrix as Fractions, rows indexed by source."""
+    out = [[F(0)] * chain.modulus for _ in range(chain.modulus)]
+    for i, row in enumerate(chain.rows):
+        for t, p in row:
+            out[i][t] += p
+    return out
+
+
 def manual_flow(chain, dist):
     """Independent fixed-point check: mass flowing into each state."""
     flow = [F(0)] * chain.modulus
@@ -42,7 +51,7 @@ def test_three_two_transition_matrix_matches_known_structure():
         [zero, third, zero, third, zero, third],
         [zero, zero, half, zero, zero, half],
     ]
-    assert chain.dense() == expected
+    assert dense(chain) == expected
 
 
 def test_three_two_policy():
@@ -244,8 +253,8 @@ def fraction_gauss_jordan(chain):
     """Reference stationary distribution: pi (P - I) = 0 with the last
     balance equation replaced by sum(pi) = 1, eliminated in Fractions."""
     n = chain.modulus
-    dense = chain.dense()
-    aug = [[dense[j][t] - (j == t) for j in range(n)] + [F(0)] for t in range(n - 1)]
+    matrix = dense(chain)
+    aug = [[matrix[j][t] - (j == t) for j in range(n)] + [F(0)] for t in range(n - 1)]
     aug.append([F(1)] * (n + 1))
     for col in range(n):
         piv = next(i for i in range(col, n) if aug[i][col] != 0)

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from geomseries import chains
+from geomseries import chains, planner
 from geomseries.linalg import plan_digest
 from geomseries.planner import (
     AutoPlanner,
@@ -290,6 +290,14 @@ def test_factor_memo_stays_within_its_cap(monkeypatch):
     assert got == expected
 
 
+def test_auto_checks_the_count_its_choice_promised(monkeypatch):
+    assert plan(6, "auto").method == "mixed:11,7,5,3,2"
+    promise = planner.mixed_mul_count
+    monkeypatch.setattr(planner, "mixed_mul_count", lambda *args: promise(*args) - 1)
+    with pytest.raises(AssertionError, match="planner count mismatch for n=6: expected 2, built 3"):
+        plan(6, "auto")
+
+
 def test_plan_dispatch_and_labels():
     assert plan(9, "ternary").muls == 4
     assert plan(9, "direct").muls == 7
@@ -312,6 +320,9 @@ def test_direct_plan_is_baseline():
         assert rep.muls == max(n - 2, 0)
         assert passes_oracle(rep.program)
         assert rep.predicted == float(max(n - 2, 0))
+    assert plan(2**16, "direct").muls == 2**16 - 2
+    with pytest.raises(ValueError, match="direct plans are capped at length 65536"):
+        plan(2**16 + 1, "direct")
 
 
 # -- predictions ----------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_series, poly_add, poly_mul, small_chain
+from conftest import brute_series, poly_add, poly_mul, polynomial_of_register, small_chain
 from geomseries import chains, slp
 from geomseries.chains import emit_binary_rule
 from geomseries.planner import plan
@@ -27,7 +27,6 @@ from geomseries.slp import (
     mul_count,
     oracle_facts,
     passes_oracle,
-    polynomial_of_register,
     to_json,
 )
 
@@ -325,13 +324,6 @@ def test_mul_count_examples():
     assert mul_count(plan(26, "recurrence").program) == 6
 
 
-def test_polynomial_of_register_reads_intermediates():
-    b = ProgramBuilder()
-    pieces = chains.emit_series_chain(b, b.input(), 5)
-    program = b.finish(pieces.value, 5)
-    assert polynomial_of_register(program, pieces.powers[2]) == DensePoly((0, 0, 1))
-
-
 # -- baseline -----------------------------------------------------------------
 
 
@@ -369,21 +361,19 @@ def test_horner_baseline_matches_oracle_polynomial_up_to_512():
 def test_validation_rejects_forward_reference():
     instrs = (Instr(INPUT), Instr(ADD, 0, 2), Instr(ONE))
     with pytest.raises(ProgramError):
-        SlpProgram(instrs, 1, 2, 0)
+        SlpProgram(instrs, 1, 2)
 
 
 def test_validation_rejects_two_inputs():
     instrs = (Instr(INPUT), Instr(INPUT), Instr(ADD, 0, 1))
     with pytest.raises(ProgramError):
-        SlpProgram(instrs, 2, 2, 0)
+        SlpProgram(instrs, 2, 2)
 
 
-def test_validation_rejects_bad_output_and_wrong_declared_muls():
+def test_validation_rejects_bad_output():
     instrs = (Instr(INPUT), Instr(ONE), Instr(MUL, 0, 0))
     with pytest.raises(ProgramError):
-        SlpProgram(instrs, 5, 2, 1)
-    with pytest.raises(ProgramError):
-        SlpProgram(instrs, 2, 2, 0)
+        SlpProgram(instrs, 5, 2)
 
 
 def test_builder_rejects_out_of_range_operand():
@@ -403,7 +393,7 @@ def test_json_round_trip_is_bit_exact():
     ):
         text = to_json(prog)
         again = from_json(text)
-        assert again == prog
+        assert again == prog and again.declared_muls == mul_count(prog)
         assert to_json(again) == text
 
 
