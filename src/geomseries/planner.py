@@ -28,10 +28,10 @@ Strategies:
 * prime:P   - N must be a power of P; exact count (muls(P) + 2) * e - 2;
 * mixed:... - per-step base chosen by normalized cost (muls per halving);
 * recurrence- N must be a power of a squared-plus-one size y(k);
-* auto      - cheapest of prime-power, recurrence, mixed and a memoized
-              dynamic program over factor splits (never worse than the
-              length's built-in chain, one of the DP leaves, which is the
-              parity rule wherever no hand-tuned chain exists).
+* auto      - one memoized dynamic program over factor splits and the
+              mixed policy's reduction level (never worse than the
+              length's built-in chain, the prime-power and recurrence
+              cascades or the mixed:11,7,5,3,2 plan); method ``factor``.
 """
 
 from __future__ import annotations
@@ -118,10 +118,13 @@ class PlanReport:
     n: int
     strategy: Strategy
     program: SlpProgram
-    muls: int
     predicted: float | None
     reduction_trace: tuple[tuple[int, int, int], ...]
     method: str
+
+    @property
+    def muls(self) -> int:
+        return self.program.declared_muls
 
 
 def _emitted_muls(emit: Callable[[ProgramBuilder, int], object]) -> int:
@@ -239,9 +242,10 @@ class CostModel:
     cost(3, 1) = 3, cost(3, 2) = 4.  ``terminal_credit`` is the pair of
     multiplications (power + join) the last level never spends.  The
     model keeps its state in three memos: the level costs, one lazily
-    filled ``mixed_table`` per bases set, and the factor-split memo
-    ``splits``: ``splits[n]`` is the (muls, decision) of the cheapest plan
-    for length n that the dynamic program over factor splits finds.
+    filled ``mixed_table`` per bases set, and the memo ``splits`` of
+    ``auto``'s dynamic program: ``splits[n]`` is the (muls, decision) of
+    the cheapest plan for length n that it finds over leaves, factor
+    splits and the mixed policy's level.
     """
 
     terminal_credit = 2
@@ -265,12 +269,20 @@ class CostModel:
         return self._tables[tuple(bases)]
 
     def _best_split(self, n: int) -> tuple[int, tuple]:
-        """Cheapest of the length's leaves and its splits k * (n / k).
+        """Cheapest of the length's leaves, its splits and its mixed level.
 
         The leaves are the built-in chain (the parity rule wherever no
-        hand-tuned chain exists, so the result is never worse than it)
-        and the recurrence chain of that size; each is counted off a
-        scratch emission.  A split spends both halves, a power and a join.
+        hand-tuned chain exists) and the recurrence chain of that size.  A
+        split k * (n / k) spends both halves, a power and a join.  The level
+        is the (base, r != 0) that ``mixed:11,7,5,3,2`` picks at n; it spends
+        cost(base, r) and the quotient's plan.  Leaves and a level of
+        quotient 1 are counted off scratch emissions; ties keep that order.
+
+        By induction D(n) = splits[n][0] is never worse than the mixed plan
+        G: D(n) <= cost(base, r) + D(q) <= cost(base, r) + G(q) = G(n), where
+        r = 0 is the split at base.  Nor than the cascade p**e (split at p,
+        D(p) <= chain(p)), the recurrence power y**e (split at y, recurrence
+        leaf) or a plan of splits and leaves alone.
         """
         chain = _emitted_muls(lambda b, x: emit_series_chain(b, x, n))
         candidates: list[tuple[int, int, tuple]] = [(chain, 0, ("chain",))]
@@ -283,6 +295,13 @@ class CostModel:
                 left, _ = self.splits[k]
                 right, _ = self.splits[n // k]
                 candidates.append((left + right + 2, 2, ("split", k)))
+        feasible = () if n in TERMINAL_SIZES else tuple(p for p in DEFAULT_MIXED_BASES if p <= n)
+        base, residue, cost = choose_base(n, feasible, self) if feasible else (n, 0, 0)
+        if residue:
+            q = n // base
+            alone = lambda b, x: _emit_level(b, x, base, residue, None)
+            muls = cost + self.splits[q][0] if q > 1 else _emitted_muls(alone)
+            candidates.append((muls, 3, ("level", base, residue)))
         muls, _, decision = min(candidates, key=lambda c: (c[0], c[1], c[2]))
         return muls, decision
 
@@ -374,19 +393,6 @@ class MixedTable:
         return markov.stationary(markov.build_chain(self.bases, self.model)).coefficient
 
 
-def mixed_mul_count(
-    n: int, bases: tuple[int, ...] = DEFAULT_MIXED_BASES, model: CostModel | None = None
-) -> int:
-    """Multiplication count of the mixed plan for length n without building it.
-
-    Levels above the threshold of ``model.mixed_table(bases)`` add their
-    CostModel cost; the rest is the count of the emitted plan.
-    """
-    if n < 1:
-        raise ValueError("series length must be >= 1")
-    return (model or default_cost_model()).mixed_table(tuple(bases)).count(n)
-
-
 # The nested baseline spends 2n instructions, 22 MiB at n = 10**5, so
 # longer direct plans are refused rather than built.
 _MAX_DIRECT_LENGTH = 2**16
@@ -464,59 +470,28 @@ def _exact_log(n: int, base: int) -> int | None:
     return e if n == 1 else None
 
 
-def _prime_power_form(n: int) -> tuple[int, int] | None:
-    for p in SMALL_SIZES:
-        e = _exact_log(n, p)
-        if e is not None:
-            return p, e
-    return None
+def _emit_factor(
+    b: ProgramBuilder, x: int, n: int, model: CostModel, trace: list[tuple[int, int, int]]
+) -> int:
+    """The plan for length n that ``model.splits`` chose, decisions traced.
 
-
-def _emit_factor(b: ProgramBuilder, x: int, n: int, model: CostModel) -> int:
-    """The plan for length n that the factor-split memo ``model.splits`` chose."""
+    Each split at k is traced as (n, k, 0) and each level as (n, base, r),
+    in emission order.
+    """
     _, decision = model.splits[n]
     if decision[0] == "chain":
         return emit_series_chain(b, x, n).value
     if decision[0] == "recurrence":
         return emit_recurrence(b, x, decision[1]).value
+    if decision[0] == "level":
+        _, base, residue = decision
+        trace.append((n, base, residue))
+        inner = lambda bb, power: _emit_factor(bb, power, n // base, model, trace)
+        return _emit_level(b, x, base, residue, inner if n // base > 1 else None)
     k = decision[1]
-    left = lambda bb, xx: _emit_factor(bb, xx, k, model)
-    return _emit_split(b, x, left, lambda bb, power: _emit_factor(bb, power, n // k, model))
-
-
-def _emit_auto(
-    b: ProgramBuilder, x: int, n: int, model: CostModel, trace: list[tuple[int, int, int]]
-) -> tuple[int, str, int]:
-    """The cheapest of prime power, recurrence power, mixed and factor splits.
-
-    Each candidate is counted without building it; ties go to the earlier
-    one in that order.  Returns the output register, the winner's method
-    and the multiplications its count promised.
-    """
-    if n == 1:
-        return b.one(), "chain:1", 0
-    candidates: list[tuple[int, str]] = []
-    pp = _prime_power_form(n)
-    if pp is not None:
-        p, e = pp
-        candidates.append((model.cost(p, 0) * e - 2, "prime_power"))
-    rec_options = _recurrence_power_options(n)
-    if rec_options:
-        candidates.append((min(rec_options)[0], "recurrence"))
-    candidates.append((mixed_mul_count(n, DEFAULT_MIXED_BASES, model), "mixed"))
-    candidates.append((model.splits[n][0], "factor"))
-    muls, winner = min(candidates, key=lambda c: c[0])
-
-    if winner == "prime_power":
-        value, method = _emit_power_cascade(b, x, p, e, _chain(p), trace), f"prime:{p}"
-    elif winner == "recurrence":
-        value, method = _emit_recurrence_power(b, x, n, trace)
-    elif winner == "mixed":
-        value = _emit_mixed(b, x, n, DEFAULT_MIXED_BASES, model, trace)
-        method = Strategy("mixed", bases=DEFAULT_MIXED_BASES).label()
-    else:
-        value, method = _emit_factor(b, x, n, model), "factor"
-    return value, method, muls
+    trace.append((n, k, 0))
+    left = lambda bb, xx: _emit_factor(bb, xx, k, model, trace)
+    return _emit_split(b, x, left, lambda bb, power: _emit_factor(bb, power, n // k, model, trace))
 
 
 class AutoPlanner:
@@ -540,7 +515,7 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     The one function that finishes a program and builds a PlanReport:
     each strategy is a private emitter that writes onto one shared
     ProgramBuilder, and ``auto``'s program is checked against the count
-    its choice promised.
+    its dynamic program promised.
     """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
@@ -568,7 +543,7 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     elif kind == "recurrence":
         value, method = _emit_recurrence_power(b, x, n, trace)
     else:
-        value, method, expected = _emit_auto(b, x, n, model, trace)
+        value, method, expected = _emit_factor(b, x, n, model, trace), "factor", model.splits[n][0]
     program = b.finish(value, n)
     if kind == "auto" and program.declared_muls != expected:
         raise AssertionError(
@@ -579,7 +554,6 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
         n=n,
         strategy=strategy,
         program=program,
-        muls=program.declared_muls,
         predicted=None if kind in ("auto", "mixed") else predicted_cost(strategy, n),
         reduction_trace=tuple(trace),
         method=method,
@@ -623,7 +597,6 @@ __all__ = [
     "default_cost_model",
     "choose_base",
     "plan",
-    "mixed_mul_count",
     "predicted_cost",
     "AutoPlanner",
     "DEFAULT_MIXED_BASES",

@@ -16,7 +16,7 @@ from geomseries.markov import (
     empirical_slope_stats,
     stationary,
 )
-from geomseries.planner import CostModel, mixed_mul_count
+from geomseries.planner import CostModel, default_cost_model
 
 F = Fraction
 
@@ -389,8 +389,7 @@ def test_chain_policy_is_the_walker_table():
         assert chain.policy == tuple(table.policy[j] for j in range(table.modulus))
         for n in range(table.threshold, table.threshold + 2 * chain.modulus):
             base, cost = chain.policy[n % chain.modulus]
-            rest = mixed_mul_count((n - n % base) // base, bases, model)
-            assert mixed_mul_count(n, bases, model) == cost + rest
+            assert table.count(n) == cost + table.count((n - n % base) // base)
 
 
 def test_chain_hash_skips_rows_and_equality_unchanged():
@@ -413,8 +412,8 @@ def test_build_chain_validation():
 def test_mixed_bases_are_checked_in_one_place():
     # the strategy, the count walker and the chain share one check
     for call in (
-        lambda: mixed_mul_count(10, (2, 2)),
-        lambda: mixed_mul_count(10**6, (3, 3)),
+        lambda: default_cost_model().mixed_table((2, 2)).count(10),
+        lambda: CostModel().mixed_table((3, 3)).count(10**6),
         lambda: build_chain((2, 2)),
     ):
         with pytest.raises(ValueError, match="pairwise distinct"):

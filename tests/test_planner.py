@@ -6,15 +6,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from geomseries import chains, planner
+from geomseries import chains
 from geomseries.linalg import plan_digest
 from geomseries.planner import (
+    DEFAULT_MIXED_BASES,
     AutoPlanner,
     CostModel,
     Strategy,
     choose_base,
     default_cost_model,
-    mixed_mul_count,
     plan,
     predicted_cost,
 )
@@ -154,16 +154,17 @@ def test_mixed_six_uses_base_three_then_terminal_two():
 
 def test_mixed_count_walker_matches_built_plans():
     model = default_cost_model()
+    table = model.mixed_table(DEFAULT_MIXED_BASES)
     for n in range(1, 1200):
-        assert mixed_mul_count(n, model=model) == plan(n, "mixed", model).muls
+        assert table.count(n) == plan(n, "mixed", model).muls
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(10**4, 10**6)
-        assert mixed_mul_count(n, model=model) == plan(n, "mixed", model).muls
+        assert table.count(n) == plan(n, "mixed", model).muls
     for bases in ((3, 2), (5, 2), (7,), (5,)):
         strategy = Strategy("mixed", bases=bases)
         for n in range(1, 300):
-            assert mixed_mul_count(n, bases, model) == plan(n, strategy, model).muls
+            assert model.mixed_table(bases).count(n) == plan(n, strategy, model).muls
 
 
 @pytest.mark.parametrize("bases", [(2,), (3,), (9, 2), (6, 5, 2), (4, 3)])
@@ -175,12 +176,12 @@ def test_table_walker_matches_built_plans(bases):
     assert table.threshold == max(2 * max(bases), 12)
     strategy = Strategy("mixed", bases=bases)
     for n in range(1, 3000):
-        assert mixed_mul_count(n, bases, model) == plan(n, strategy, model).muls, n
+        assert table.count(n) == plan(n, strategy, model).muls, n
     rng = random.Random(sum(bases))
     for bits in (40, 100, 200):
         for _ in range(8):
             n = rng.randint(1, 2**bits)
-            assert mixed_mul_count(n, bases, model) == plan(n, strategy, model).muls, n
+            assert table.count(n) == plan(n, strategy, model).muls, n
 
 
 def test_mixed_trace_monotone_and_consistent():
@@ -217,7 +218,7 @@ def test_mixed_fuzz_over_unusual_base_sets():
         n = rng.randint(1, 2500)
         rep = plan(n, Strategy("mixed", bases=bases))
         assert passes_oracle(rep.program), (n, bases)
-        assert rep.muls == mixed_mul_count(n, bases), (n, bases)
+        assert rep.muls == default_cost_model().mixed_table(bases).count(n), (n, bases)
         assert evaluate(rep.program, 1) == n
 
 
@@ -247,8 +248,49 @@ def test_auto_reproduces_headline_counts(auto_planner):
 
 
 def test_auto_never_loses_to_binary(auto_planner):
-    for n in range(2, 2049):
-        assert auto_planner.plan(n).muls <= plan(n, "binary").muls
+    # nor to any plan auto's one dynamic program subsumes: the mixed policy,
+    # the prime-power cascade and the recurrence power
+    mixed = default_cost_model().mixed_table(DEFAULT_MIXED_BASES)
+    for n in range(2, 4097):
+        muls = auto_planner.plan(n).muls
+        assert muls <= plan(n, "binary").muls, n
+        assert muls <= mixed.count(n), n
+    powers = [(p, f"prime:{p}") for p in chains.SMALL_SIZES]
+    powers += [(y, "recurrence") for y in chains.RECURRENCE_SIZES[1:5]]
+    for base, label in powers:
+        n = base
+        while n <= 4096:
+            assert auto_planner.plan(n).muls <= plan(n, label).muls, (n, label)
+            n *= base
+
+
+def test_auto_puts_reduction_levels_inside_splits():
+    # each count needs a level under a split or a split under a level,
+    # which no mixed, prime-power, recurrence or splits-only plan can use
+    model = CostModel()
+    for n, want in ((72, 9), (2032, 17), (4096, 19), (2**24, 40), (3**20, 53)):
+        rep = plan(n, "auto", model)
+        assert rep.muls == want, (n, rep.muls)
+        assert rep.method == "factor"
+        if n <= 4096:
+            assert passes_oracle(rep.program), n
+    assert plan(72, "auto", model).reduction_trace == ((72, 2, 0), (36, 5, 1))
+
+
+def test_auto_trace_lists_the_program_decisions(auto_planner):
+    for n in range(1, 513):
+        rep = auto_planner.plan(n)
+        assert rep.method == "factor"
+        decision = default_cost_model().splits[n][1]
+        if decision[0] in ("chain", "recurrence"):
+            assert rep.reduction_trace == ()
+        else:
+            assert rep.reduction_trace[0][0] == n
+        for length, k, residue in rep.reduction_trace:
+            if residue == 0:
+                assert 1 < k < length and length % k == 0, (n, length, k)
+            else:
+                assert k in DEFAULT_MIXED_BASES and residue == length % k, (n, length, k)
 
 
 def test_auto_oracle_sweep_medium(auto_planner):
@@ -290,12 +332,18 @@ def test_factor_memo_stays_within_its_cap(monkeypatch):
     assert got == expected
 
 
-def test_auto_checks_the_count_its_choice_promised(monkeypatch):
-    assert plan(6, "auto").method == "mixed:11,7,5,3,2"
-    promise = planner.mixed_mul_count
-    monkeypatch.setattr(planner, "mixed_mul_count", lambda *args: promise(*args) - 1)
-    with pytest.raises(AssertionError, match="planner count mismatch for n=6: expected 2, built 3"):
-        plan(6, "auto")
+def test_auto_checks_the_count_its_choice_promised():
+    # 51 = 5 * 10 + 1 is one level over the plan for 10.  With every shorter
+    # length planned under the true costs, level costs that read one low
+    # make the promise for 51 alone one multiplication short.
+    assert CostModel().splits[51] == (8, ("level", 5, 1))
+    model = CostModel()
+    for n in range(1, 51):
+        model.splits[n]
+    true_cost = model.cost
+    model.cost = lambda base, residue: true_cost(base, residue) - 1
+    with pytest.raises(AssertionError, match="count mismatch for n=51: expected 7, built 8"):
+        plan(51, "auto", model)
 
 
 def test_plan_dispatch_and_labels():
@@ -368,16 +416,17 @@ def test_predicted_cost_errors():
 
 # -- pinned plans -----------------------------------------------------------------
 
-# sha256 over one "n label muls method predicted plan_sha256" line per plan,
-# first computed before the program-level composer and the hand-kept
-# multiplication counts were removed: every plan must stay byte-identical.
-PINNED_PLANS = "696c2ddc2cf1c1d936e0d13b0ea01532e50f87b349385d8fd6091e271bcf0872"
+# sha256 over one "n label muls method predicted plan_sha256" line per plan.
+# PINNED_PLANS covers every strategy but auto and was first computed before
+# the program-level composer and the hand-kept multiplication counts were
+# removed: those plans must stay byte-identical.  PINNED_AUTO_PLANS covers
+# auto for n <= 1024; a change that moves it must list every moved count.
+PINNED_PLANS = "77347a235d64e7ef47f57fdf8944442c2819f3f23ca07ee0323997ea4425a05e"
+PINNED_AUTO_PLANS = "6167d945842802513c52dd9002a4db15bdf0260b7e6da3f29d36c7bd284630a1"
 
 
 def _pinned_plan_reports():
-    planner = AutoPlanner()
     for n in range(1, 1025):
-        yield n, "auto", planner.plan(n)
         for label in ("binary", "ternary", "mixed", "mixed:5,3,2", "mixed:13,5,2"):
             yield n, label, plan(n, label)
     for p in (2, 3, 5, 7, 11, 13):
@@ -392,9 +441,18 @@ def _pinned_plan_reports():
             n *= y
 
 
-def test_plans_are_pinned():
+def _digest(reports) -> str:
     digest = hashlib.sha256()
-    for n, label, rep in _pinned_plan_reports():
+    for n, label, rep in reports:
         line = f"{n} {label} {rep.muls} {rep.method} {rep.predicted!r} {plan_digest(rep.program)}\n"
         digest.update(line.encode())
-    assert digest.hexdigest() == PINNED_PLANS
+    return digest.hexdigest()
+
+
+def test_plans_are_pinned():
+    assert _digest(_pinned_plan_reports()) == PINNED_PLANS
+
+
+def test_auto_plans_are_pinned():
+    auto = AutoPlanner()
+    assert _digest((n, "auto", auto.plan(n)) for n in range(1, 1025)) == PINNED_AUTO_PLANS
