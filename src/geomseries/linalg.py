@@ -10,11 +10,12 @@ while the fast path spends fewer matrix-matrix multiplications.
 Plans run on one in-place engine, :func:`evaluate`.  A liveness pass
 records each register's last read, so its n x n buffer returns to a free
 list right after it; products go into a free buffer, sums and differences
-into an operand that dies there.  The identity is kept as a scalar, so
-``1 + X`` is an O(n) update of X's diagonal.  The engine holds at most one
-buffer per register live at once, and its output equals the generic
-evaluation with ``np.eye`` and ``@`` entry for entry.  It counts the
-products it runs, so inversion and benchmark report executed counts,
+into an operand that dies there.  The input matrix is consumed like any
+other register, so pass a copy to keep it.  The identity is kept as a
+scalar, so ``1 + X`` is an O(n) update of X's diagonal.  The engine holds
+at most one buffer per register live at once, and its output equals the
+generic evaluation with ``np.eye`` and ``@`` entry for entry.  It counts
+the products it runs, so inversion and benchmark report executed counts,
 and direct and fast paths share the same matmul kernel.
 """
 
@@ -57,7 +58,11 @@ class SpectralRadiusEstimate:
 
 @dataclass(frozen=True)
 class NeumannReport:
-    """Record of one inversion run."""
+    """Record of one inversion run.
+
+    ``matrix_buffers`` is the most n x n matrices the engine held at once,
+    B = I - A and the result included.
+    """
 
     n: int
     terms: int
@@ -179,16 +184,19 @@ def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Run ``program`` over the n x n matrices at x = ``b``, in place.
 
     Returns the result, the number of matrix products run (one per MUL)
-    and the most n x n buffers held at once, the result among them.
-    ``b`` is only read, and the result is a new buffer.  A register holds
-    a buffer or, for ONE and registers computed from ONE alone, a float c
-    standing for c * I: adding, subtracting or multiplying by it updates a
-    diagonal or scales, the same IEEE operations the generic evaluation
-    with ``np.eye`` and ``@`` performs on every entry it does not merely
-    add an exact zero to.  Each buffer returns to a free list after its
-    register's last read; a product goes into a free buffer, and a sum or
-    difference into an operand buffer that dies there.
+    and the most n x n buffers held at once, ``b`` and the result among
+    them.  ``b`` is consumed: its buffer is reused once the INPUT register
+    is dead and may be the result, so pass a copy to keep it (a ``b`` of
+    another dtype runs on a float64 copy and is left alone).  A register
+    holds a buffer or, for ONE and registers computed from ONE alone, a
+    float c standing for c * I: adding, subtracting or multiplying by it
+    updates a diagonal or scales, the same IEEE operations the generic
+    evaluation with ``np.eye`` and ``@`` performs on every entry it does
+    not merely add an exact zero to.  Each buffer returns to a free list
+    after its register's last read; a product goes into a free buffer, and
+    a sum or difference into an operand buffer that dies there.
     """
+    b = np.asarray(b, dtype=float)
     n = b.shape[0]
     instrs = program.instrs
     last = list(range(len(instrs)))  # a register nobody reads dies at once
@@ -198,7 +206,7 @@ def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
     last[program.output] = len(instrs)
     regs: list = [None] * len(instrs)
     free: list[np.ndarray] = []
-    held = products = 0
+    held, products = 1, 0  # b is the first buffer
 
     def take() -> np.ndarray:
         nonlocal held
@@ -225,7 +233,7 @@ def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
                 # elementwise: an operand buffer read here for the last time takes the result
                 out = next(
                     (v for r, v in ((ins.a, x), (ins.b, y))
-                     if last[r] == i and isinstance(v, np.ndarray) and v is not b),
+                     if last[r] == i and isinstance(v, np.ndarray)),
                     None,
                 )
                 if out is None:
@@ -246,17 +254,13 @@ def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
         for r in (ins.a, ins.b, i):  # leaves have no operands
             if r is not None and last[r] == i and regs[r] is not None:
                 v, regs[r] = regs[r], None
-                if isinstance(v, np.ndarray) and v is not b and (r == i or v is not out):
+                if isinstance(v, np.ndarray) and (r == i or v is not out):
                     free.append(v)
     out = regs[program.output]
-    if isinstance(out, float) or out is b:
-        r = take()
-        if out is b:
-            np.copyto(r, b)
-        else:
-            r.fill(0.0)
-            _shift_diagonal(r, out)
-        out = r
+    if isinstance(out, float):
+        c, out = out, take()
+        out.fill(0.0)
+        _shift_diagonal(out, c)
     return out, products, held
 
 
@@ -285,18 +289,20 @@ def neumann_invert(
             f"estimated spectral radius of I - A is {rho.value:.6g} >= 1; "
             "the series will not converge (pass allow_divergent to override)"
         )
-    start = time.perf_counter()
-    a_hat, products, buffers = evaluate(plan, b)
-    wall = time.perf_counter() - start
+    # a divergent series may overflow; the residual gate below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = time.perf_counter()
+        a_hat, products, buffers = evaluate(plan, b)  # b is not read again
+        wall = time.perf_counter() - start
+        try:
+            res = residual(m, a_hat)
+        except ValueError:  # a non-finite result; the shapes match by construction
+            res = math.inf
     if products != plan.declared_muls:
         raise AssertionError(
             f"executed {products} matrix multiplications, plan declared "
             f"{plan.declared_muls}"
         )
-    try:
-        res = residual(m, a_hat)
-    except ValueError:  # a non-finite result; the shapes match by construction
-        res = math.inf
     if not res < math.sqrt(n) and not allow_divergent:
         raise ConvergenceError(
             f"residual ||I - A X||_F = {res:.6g} is not below sqrt(n) = "
@@ -341,13 +347,15 @@ def bench(
         for terms in terms_list:
             direct = build_plan(terms, "direct")
             fast = build_plan(terms, "auto")
-            d_out, d_muls, _ = evaluate(direct.program, b)  # warm-up
-            f_out, f_muls, _ = evaluate(fast.program, b)
+            # evaluate consumes its input, so each run gets a copy made off the clock
+            d_out, d_muls, _ = evaluate(direct.program, b.copy())  # warm-up
+            f_out, f_muls, _ = evaluate(fast.program, b.copy())
             times = np.empty((2, replicates))
             for i in range(replicates):
                 for j, program in enumerate((direct.program, fast.program)):
+                    x = b.copy()
                     start = time.perf_counter()
-                    evaluate(program, b)
+                    evaluate(program, x)
                     times[j, i] = time.perf_counter() - start
             d_times, f_times = times
             denom = float(np.linalg.norm(d_out, "fro")) or 1.0

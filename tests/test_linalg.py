@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,7 +177,8 @@ _FOOLED_B = 0.85 * np.eye(2) - 0.35 * np.array([[0.0, 1.0], [1.0, 0.0]])
 def test_invert_rejects_a_result_no_better_than_zero(terms, overflows):
     a = np.eye(2) - _FOOLED_B
     assert spectral_radius_estimate(_FOOLED_B).value == pytest.approx(0.5)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is the residual gate's to report
         with pytest.raises(ConvergenceError):
             neumann_invert(a, terms)
         a_hat, rep = neumann_invert(a, terms, allow_divergent=True)
@@ -251,7 +253,7 @@ def test_engine_equals_generic_matmul_evaluation():
         a = random_test_matrix(n, seed=40 + n)
         b = np.eye(n) - a
         for prog in programs:
-            got, products, _ = evaluate(prog, b)
+            got, products, _ = evaluate(prog, b.copy())
             assert np.array_equal(got, slp.evaluate(prog, _MatmulRing(b)).a)
             assert products == prog.declared_muls
             # the residual with one temporary is the textbook formula's
@@ -278,7 +280,7 @@ def test_engine_handles_every_use_of_the_identity():
         series_length=1,
     )
     b = np.eye(5) - random_test_matrix(5, seed=2)
-    got, products, _ = evaluate(prog, b)
+    got, products, _ = evaluate(prog, b.copy())
     assert np.array_equal(got, slp.evaluate(prog, _MatmulRing(b)).a)
     assert products == prog.declared_muls == 5
 
@@ -290,13 +292,22 @@ def test_engine_leaves_its_inputs_alone(terms):
     a_hat, _ = neumann_invert(a, terms)
     assert np.array_equal(a, a_copy)
     assert not np.shares_memory(a_hat, a)
+    # evaluate consumes b: the result may be b's own buffer, and is the caller's
+    prog = plan(terms, "auto").program
     b = np.eye(6) - a
-    b_copy = b.copy()
-    out, _, _ = evaluate(plan(terms, "auto").program, b)
-    assert np.array_equal(b, b_copy)
-    assert not np.shares_memory(out, b)
+    want = slp.evaluate(prog, _MatmulRing(b)).a
+    out, _, _ = evaluate(prog, b)
+    assert np.array_equal(out, want)
+    if terms == 1:
+        assert out is b  # 1 * I is written into b's dead buffer
+    assert out is b or not np.shares_memory(out, b)
     out[:] = 0.0  # the result is the caller's to write
-    assert np.array_equal(b, b_copy)
+    assert np.array_equal(evaluate(prog, np.eye(6) - a)[0], want)
+    c = (np.eye(6) - a).astype(np.float32)  # another dtype runs on a float64 copy
+    c_copy = c.copy()
+    got = evaluate(prog, c)[0]
+    assert np.array_equal(got, slp.evaluate(prog, _MatmulRing(c.astype(float))).a)
+    assert np.array_equal(c, c_copy)
 
 
 @pytest.mark.parametrize("terms", [26, 677, 458330])
@@ -310,7 +321,10 @@ def test_invert_memory_stays_within_the_engine_buffers(terms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (rep.matrix_buffers + 2) * 8 * n * n
+    assert rep.matrix_buffers == {26: 4, 677: 5, 458330: 6}[terms]  # B = I - A among them
+    # slack: two n^2-byte bool masks, the temporaries of _as_square's finiteness
+    # checks; at the engine's peak only small objects sit beside its buffers
+    assert peak <= rep.matrix_buffers * 8 * n * n + 2 * n * n
 
 
 # -- bench -------------------------------------------------------------------------
