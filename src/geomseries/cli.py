@@ -86,6 +86,15 @@ def _parse_strategies(items) -> list[Strategy]:
     return [Strategy.parse(s) for s in (items or DEFAULT_VERIFY_STRATEGIES)]
 
 
+def _count_row(n: int, strat: Strategy, rep: PlanReport) -> dict:
+    """One row of the counts table; predicted is None where no formula exists."""
+    try:
+        pred = predicted_cost(strat, n)
+    except ValueError:
+        pred = None
+    return {"n": n, "strategy": strat.label(), "muls": rep.muls, "predicted": pred}
+
+
 def cmd_verify(args) -> int:
     strategies = _parse_strategies(args.strategy)
     failures: list[dict] = []
@@ -113,13 +122,7 @@ def cmd_verify(args) -> int:
                     }
                 )
             if args.counts:
-                try:
-                    pred = predicted_cost(strat, n)
-                except ValueError:
-                    pred = None
-                rows.append(
-                    {"n": n, "strategy": strat.label(), "muls": rep.muls, "predicted": pred, "ok": ok}
-                )
+                rows.append({**_count_row(n, strat, rep), "ok": ok})
     # Known-bad reference fixtures must keep failing the oracle.
     fixtures = [
         ("flawed-length-11", chains.flawed_length11_chain()),
@@ -169,11 +172,7 @@ def cmd_count(args) -> int:
                 rep = build_plan(n, strat)
             except ValueError:
                 continue
-            try:
-                pred = predicted_cost(strat, n)
-            except ValueError:
-                pred = None
-            rows.append({"n": n, "strategy": strat.label(), "muls": rep.muls, "predicted": pred})
+            rows.append(_count_row(n, strat, rep))
     if args.format == "json":
         _write(_dump_json(rows), args.out)
     elif args.format == "csv":

@@ -12,26 +12,32 @@ step.  Terminal lengths with a built-in chain are emitted directly, which
 is where the constant -2 in all the closed-form counts comes from: the
 last level needs neither a next power nor a join.
 
-Every plan is composed in one way: each strategy is a private emitter
-that writes, through the chain emitters of ``chains`` and the reduction
-levels here, onto one ProgramBuilder, and ``plan`` alone finishes the
-program and builds its PlanReport.  Every factor split f(k * m, x) =
-f(k, x) * f(m, x^k) goes through ``_emit_split``.  The multiplication
-counts the planners compare are read off scratch emissions of those same
-emitters, so no count is kept by hand.
+Every plan is composed in one way: each strategy but ``direct`` is a
+decision rule, which names at each length a built-in chain, a recurrence
+chain, a factor split or a reduction level, and one walker,
+``_emit_decided``, follows that rule onto one ProgramBuilder through the
+chain emitters of ``chains``.  ``plan`` alone finishes the program and
+builds its PlanReport.  Every factor split f(k * m, x) = f(k, x) * f(m, x^k)
+goes through ``_emit_split``, every level through ``_emit_level``, and
+every trace lists the decisions in emission order, (n, k, 0) for a split
+and (n, P, r) for a level.  The multiplication counts the planners
+compare are read off scratch emissions of those same emitters, so no
+count is kept by hand.
 
 Strategies:
 
 * direct    - nested baseline, N - 2 multiplications;
 * binary    - reduction with base 2 only;
 * ternary   - base 3 only;
-* prime:P   - N must be a power of P; exact count (muls(P) + 2) * e - 2;
+* prime:P   - N must be a power of P; splits at P down to P's chain;
+              exact count (muls(P) + 2) * e - 2;
 * mixed:... - per-step base chosen by normalized cost (muls per halving);
-* recurrence- N must be a power of a squared-plus-one size y(k);
+* recurrence- N must be a power of a squared-plus-one size y(k); splits
+              at y(k) down to the recurrence chain, 2^k * e - 2;
 * auto      - one memoized dynamic program over factor splits and the
               mixed policy's reduction level (never worse than the
               length's built-in chain, the prime-power and recurrence
-              cascades or the mixed:11,7,5,3,2 plan); method ``factor``.
+              plans or the mixed:11,7,5,3,2 plan); method ``factor``.
 """
 
 from __future__ import annotations
@@ -161,10 +167,6 @@ def _emit_split(
     return b.mul(left, emit_right(b, power))
 
 
-def _chain(size: int) -> Callable[[ProgramBuilder, int], int]:
-    return lambda b, x: emit_series_chain(b, x, size).value
-
-
 def _emit_level(
     b: ProgramBuilder,
     x: int,
@@ -180,7 +182,7 @@ def _emit_level(
     free, and the level adds the length-r prefix to x^r * f(base, x) * inner.
     """
     if residue == 0 and emit_inner is not None:
-        return _emit_split(b, x, _chain(base), emit_inner)
+        return _emit_split(b, x, lambda bb, xx: emit_series_chain(bb, xx, base).value, emit_inner)
     pieces = emit_series_chain(b, x, base)
     fp = pieces.value
     if residue == 0:
@@ -280,7 +282,7 @@ class CostModel:
 
         By induction D(n) = splits[n][0] is never worse than the mixed plan
         G: D(n) <= cost(base, r) + D(q) <= cost(base, r) + G(q) = G(n), where
-        r = 0 is the split at base.  Nor than the cascade p**e (split at p,
+        r = 0 is the split at base.  Nor than the prime power p**e (split at p,
         D(p) <= chain(p)), the recurrence power y**e (split at y, recurrence
         leaf) or a plan of splits and leaves alone.
         """
@@ -295,13 +297,13 @@ class CostModel:
                 left, _ = self.splits[k]
                 right, _ = self.splits[n // k]
                 candidates.append((left + right + 2, 2, ("split", k)))
-        feasible = () if n in TERMINAL_SIZES else tuple(p for p in DEFAULT_MIXED_BASES if p <= n)
-        base, residue, cost = choose_base(n, feasible, self) if feasible else (n, 0, 0)
-        if residue:
+        level = _mixed_level(n, DEFAULT_MIXED_BASES, self)
+        if level[0] == "level" and level[2]:
+            _, base, residue = level
             q = n // base
             alone = lambda b, x: _emit_level(b, x, base, residue, None)
-            muls = cost + self.splits[q][0] if q > 1 else _emitted_muls(alone)
-            candidates.append((muls, 3, ("level", base, residue)))
+            muls = self.cost(base, residue) + self.splits[q][0] if q > 1 else _emitted_muls(alone)
+            candidates.append((muls, 3, level))
         muls, _, decision = min(candidates, key=lambda c: (c[0], c[1], c[2]))
         return muls, decision
 
@@ -328,24 +330,14 @@ def choose_base(value: int, bases: tuple[int, ...], model: CostModel) -> tuple[i
     return best
 
 
-def _emit_mixed(
-    b: ProgramBuilder,
-    x: int,
-    n: int,
-    bases: tuple[int, ...],
-    model: CostModel,
-    trace: list[tuple[int, int, int]],
-) -> int:
+def _mixed_level(n: int, bases: tuple[int, ...], model: CostModel) -> tuple:
+    """The mixed policy's decision at length n: ("level", base, r), or
+    ("chain",) at a terminal length or where no base fits."""
     feasible = () if n in TERMINAL_SIZES else tuple(p for p in bases if p <= n)
     if not feasible:
-        return emit_series_chain(b, x, n).value
+        return ("chain",)
     base, residue, _ = choose_base(n, feasible, model)
-    quotient = (n - residue) // base
-    trace.append((n, base, residue))
-    emit_inner = None
-    if quotient > 1:
-        emit_inner = lambda bb, power: _emit_mixed(bb, power, quotient, bases, model, trace)
-    return _emit_level(b, x, base, residue, emit_inner)
+    return ("level", base, residue)
 
 
 class MixedTable:
@@ -371,9 +363,8 @@ class MixedTable:
             return base, cost
 
         self.policy = _Memo(level)
-        self.tails = _Memo(
-            lambda n: _emitted_muls(lambda b, x: _emit_mixed(b, x, n, bases, model, []))
-        )
+        decide = lambda n: _mixed_level(n, bases, model)
+        self.tails = _Memo(lambda n: _emitted_muls(lambda b, x: _emit_decided(b, x, n, decide, [])))
 
     def count(self, n: int) -> int:
         """Multiplications of the mixed plan for length n >= 1."""
@@ -408,57 +399,20 @@ def _emit_horner(b: ProgramBuilder, x: int, n: int) -> int:
     return acc
 
 
-def _emit_power_cascade(
-    b: ProgramBuilder,
-    x: int,
-    base: int,
-    exponent: int,
-    emit_chain: Callable[[ProgramBuilder, int], int],
-    trace: list[tuple[int, int, int]],
-) -> int:
-    """f(base**exponent, x) as a cascade of factor splits, base-sized leaves.
-
-    ``emit_chain`` emits each f(base, .); exponent 0 is the length-1 series.
-    """
-    if exponent == 0:
-        return b.one()
-    if exponent == 1:
-        return emit_chain(b, x)
-    trace.append((base**exponent, base, 0))
-    inner = lambda bb, power: _emit_power_cascade(bb, power, base, exponent - 1, emit_chain, trace)
-    return _emit_split(b, x, emit_chain, inner)
-
-
-def _recurrence_power_options(n: int) -> list[tuple[int, int, int]]:
-    """(muls, level, exponent) choices with y(level)**exponent == n."""
-    options = []
-    for level in range(1, MAX_RECURRENCE_LEVEL + 1):
-        y = RECURRENCE_SIZES[level]
-        if y > n:
-            break
-        e = _exact_log(n, y)
-        if e is not None:
-            options.append(((1 << level) * e - 2, level, e))
-    return options
-
-
-def _emit_recurrence_power(
-    b: ProgramBuilder, x: int, n: int, trace: list[tuple[int, int, int]]
-) -> tuple[int, str]:
-    """f(N, x) for N a power of a squared-plus-one size; count 2^k * e - 2.
-
-    Returns the output register and the method, recurrence:k or
-    recurrence:k^e.
-    """
+def _recurrence_power(n: int) -> tuple[int, int]:
+    """(level, exponent) with y(level)**exponent == n and the least count
+    2^level * exponent - 2."""
     if n < 2:
         raise ValueError("series length must be >= 2 for a recurrence plan")
-    options = _recurrence_power_options(n)
+    options = [
+        ((1 << level) * e - 2, level, e)
+        for level in range(1, MAX_RECURRENCE_LEVEL + 1)
+        if (e := _exact_log(n, RECURRENCE_SIZES[level])) is not None
+    ]
     if not options:
         raise ValueError(f"{n} is not a power of any squared-plus-one size")
     _, level, exponent = min(options)
-    leaf = lambda bb, xx: emit_recurrence(bb, xx, level).value
-    value = _emit_power_cascade(b, x, RECURRENCE_SIZES[level], exponent, leaf, trace)
-    return value, f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else "")
+    return level, exponent
 
 
 def _exact_log(n: int, base: int) -> int | None:
@@ -470,28 +424,32 @@ def _exact_log(n: int, base: int) -> int | None:
     return e if n == 1 else None
 
 
-def _emit_factor(
-    b: ProgramBuilder, x: int, n: int, model: CostModel, trace: list[tuple[int, int, int]]
+def _emit_decided(
+    b: ProgramBuilder,
+    x: int,
+    n: int,
+    decide: Callable[[int], tuple],
+    trace: list[tuple[int, int, int]],
 ) -> int:
-    """The plan for length n that ``model.splits`` chose, decisions traced.
+    """f(n, x) built from the decisions ``decide(m)`` names at each length m.
 
-    Each split at k is traced as (n, k, 0) and each level as (n, base, r),
-    in emission order.
+    A decision is ("chain",), ("recurrence", k), ("split", k), traced as
+    (m, k, 0), or the reduction level ("level", base, r), traced as
+    (m, base, r); the trace lists them in emission order.
     """
-    _, decision = model.splits[n]
+    decision = decide(n)
     if decision[0] == "chain":
         return emit_series_chain(b, x, n).value
     if decision[0] == "recurrence":
         return emit_recurrence(b, x, decision[1]).value
-    if decision[0] == "level":
-        _, base, residue = decision
-        trace.append((n, base, residue))
-        inner = lambda bb, power: _emit_factor(bb, power, n // base, model, trace)
-        return _emit_level(b, x, base, residue, inner if n // base > 1 else None)
-    k = decision[1]
-    trace.append((n, k, 0))
-    left = lambda bb, xx: _emit_factor(bb, xx, k, model, trace)
-    return _emit_split(b, x, left, lambda bb, power: _emit_factor(bb, power, n // k, model, trace))
+    walk = lambda m: lambda bb, xx: _emit_decided(bb, xx, m, decide, trace)
+    if decision[0] == "split":
+        k = decision[1]
+        trace.append((n, k, 0))
+        return _emit_split(b, x, walk(k), walk(n // k))
+    _, base, residue = decision
+    trace.append((n, base, residue))
+    return _emit_level(b, x, base, residue, walk(n // base) if n // base > 1 else None)
 
 
 class AutoPlanner:
@@ -513,9 +471,9 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     """Build a plan for length n under the given strategy.
 
     The one function that finishes a program and builds a PlanReport:
-    each strategy is a private emitter that writes onto one shared
-    ProgramBuilder, and ``auto``'s program is checked against the count
-    its dynamic program promised.
+    every strategy but ``direct`` is a decision rule that ``_emit_decided``
+    follows onto one ProgramBuilder, and ``auto``'s program is checked
+    against the count its dynamic program promised.
     """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
@@ -531,23 +489,27 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
         if n > _MAX_DIRECT_LENGTH:
             raise ValueError(f"direct plans are capped at length {_MAX_DIRECT_LENGTH}, got {n}")
         value = _emit_horner(b, x, n)
-    elif kind in ("binary", "ternary", "mixed"):
-        bases = {"binary": (2,), "ternary": (3,)}.get(kind, strategy.bases)
-        value = _emit_mixed(b, x, n, bases, model, trace)
-    elif kind == "prime_power":
-        base = strategy.base
-        e = _exact_log(n, base)
-        if e is None:
-            raise ValueError(f"{n} is not a power of {base}")
-        value = _emit_power_cascade(b, x, base, e, _chain(base), trace)
-    elif kind == "recurrence":
-        value, method = _emit_recurrence_power(b, x, n, trace)
     else:
-        value, method, expected = _emit_factor(b, x, n, model, trace), "factor", model.splits[n][0]
+        if kind in ("binary", "ternary", "mixed"):
+            bases = {"binary": (2,), "ternary": (3,)}.get(kind, strategy.bases)
+            decide = lambda m: _mixed_level(m, bases, model)
+        elif kind == "prime_power":
+            base = strategy.base
+            if _exact_log(n, base) is None:
+                raise ValueError(f"{n} is not a power of {base}")
+            decide = lambda m: ("chain",) if m <= base else ("split", base)
+        elif kind == "recurrence":
+            level, exponent = _recurrence_power(n)
+            y = RECURRENCE_SIZES[level]
+            decide = lambda m: ("recurrence", level) if m <= y else ("split", y)
+            method = f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else "")
+        else:
+            decide, method = (lambda m: model.splits[m][1]), "factor"
+        value = _emit_decided(b, x, n, decide, trace)
     program = b.finish(value, n)
-    if kind == "auto" and program.declared_muls != expected:
+    if kind == "auto" and program.declared_muls != model.splits[n][0]:
         raise AssertionError(
-            f"planner count mismatch for n={n}: expected {expected}, "
+            f"planner count mismatch for n={n}: expected {model.splits[n][0]}, "
             f"built {program.declared_muls}"
         )
     return PlanReport(
@@ -565,7 +527,8 @@ def predicted_cost(strategy: Strategy | str, n: int) -> float:
 
     Exact for prime powers and recurrence powers; asymptotic (stationary
     coefficient times log2 n, minus the terminal credit) for mixed.
-    Raises ValueError where no formula exists (auto).
+    Raises ValueError where no formula exists (auto) and, for prime:P and
+    recurrence, where n is not a power the strategy plans.
     """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
@@ -578,12 +541,11 @@ def predicted_cost(strategy: Strategy | str, n: int) -> float:
     ln = math.log2(n)
     if strategy.kind in ("binary", "ternary", "prime_power"):
         base = {"binary": 2, "ternary": 3}.get(strategy.kind, strategy.base)
+        if strategy.kind == "prime_power" and _exact_log(n, base) is None:
+            raise ValueError(f"{n} is not a power of {base}")
         return default_cost_model().cost(base, 0) * ln / math.log2(base) - 2.0
     if strategy.kind == "recurrence":
-        options = _recurrence_power_options(n)
-        if not options:
-            raise ValueError(f"{n} is not a power of any squared-plus-one size")
-        _, level, _ = min(options)
+        level, _ = _recurrence_power(n)
         return (1 << level) * ln / math.log2(RECURRENCE_SIZES[level]) - 2.0
     if strategy.kind == "mixed":
         return default_cost_model().mixed_table(strategy.bases).coefficient * ln - 2.0

@@ -286,6 +286,9 @@ def test_auto_trace_lists_the_program_decisions(auto_planner):
             assert rep.reduction_trace == ()
         else:
             assert rep.reduction_trace[0][0] == n
+        if decision[0] == "level":
+            # auto's level is the one mixed:11,7,5,3,2 takes at n
+            assert plan(n, "mixed").reduction_trace[0] == (n, *decision[1:]), n
         for length, k, residue in rep.reduction_trace:
             if residue == 0:
                 assert 1 < k < length and length % k == 0, (n, length, k)
@@ -412,6 +415,9 @@ def test_predicted_cost_errors():
         predicted_cost("binary", 0)
     with pytest.raises(ValueError):
         predicted_cost(Strategy("recurrence"), 27)
+    with pytest.raises(ValueError, match="not a power of 3"):
+        predicted_cost("prime:3", 10)
+    assert predicted_cost("prime:3", 1) == 0.0
 
 
 # -- pinned plans -----------------------------------------------------------------
@@ -421,8 +427,12 @@ def test_predicted_cost_errors():
 # the program-level composer and the hand-kept multiplication counts were
 # removed: those plans must stay byte-identical.  PINNED_AUTO_PLANS covers
 # auto for n <= 1024; a change that moves it must list every moved count.
+# PINNED_TRACES is sha256 over one "n label method reduction_trace" line for
+# the plans of PINNED_PLANS, the prime:4 and prime:13 powers up to 4096 and
+# mixed:13,5,2 at 13 and 169, where a base without a chain meets quotient 1.
 PINNED_PLANS = "77347a235d64e7ef47f57fdf8944442c2819f3f23ca07ee0323997ea4425a05e"
 PINNED_AUTO_PLANS = "6167d945842802513c52dd9002a4db15bdf0260b7e6da3f29d36c7bd284630a1"
+PINNED_TRACES = "c619a67fcb4175cc3e7005299f9cffcffcd22daf1e48854c41ce2195a65f5322"
 
 
 def _pinned_plan_reports():
@@ -456,3 +466,13 @@ def test_plans_are_pinned():
 def test_auto_plans_are_pinned():
     auto = AutoPlanner()
     assert _digest((n, "auto", auto.plan(n)) for n in range(1, 1025)) == PINNED_AUTO_PLANS
+
+
+def test_traces_are_pinned():
+    extra = [(4**e, "prime:4") for e in range(7)] + [(13**e, "prime:13") for e in range(4)]
+    extra += [(13, "mixed:13,5,2"), (169, "mixed:13,5,2")]
+    reports = [*_pinned_plan_reports(), *((n, label, plan(n, label)) for n, label in extra)]
+    digest = hashlib.sha256()
+    for n, label, rep in reports:
+        digest.update(f"{n} {label} {rep.method} {rep.reduction_trace}\n".encode())
+    assert digest.hexdigest() == PINNED_TRACES
