@@ -287,6 +287,41 @@ def _reconstruct(values, bits: int, scale, states, size: int) -> tuple[list[int]
     return nums, den
 
 
+_LEAF_ROWS = 128  # blocks this small are inverted by LAPACK, with pivoting
+
+
+def _inverse_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the square float64 ``a`` with its inverse and return it.
+
+    Recursive 2 x 2 block elimination without pivoting: with X = A11^-1,
+    T = X A12 and S = A22 - A21 T, the inverse is [[X - T W, -T S^-1],
+    [W, S^-1]] for W = -S^-1 A21 X.  Each level is six matrix products
+    and its temporaries hold under one n x n matrix, where LAPACK's
+    inverse is bound by triangular solves and fills a second matrix.
+    Blocks of at most _LEAF_ROWS rows go to np.linalg.inv.  On the
+    stationary system this needs no pivoting: every balance column is
+    weakly diagonally dominant, every leading block is a proper principal
+    submatrix of an irreducible singular M-matrix, so nonsingular, and the
+    normalization row stays in the trailing block, whose leaf pivots.
+    """
+    m = a.shape[0]
+    if m <= _LEAF_ROWS:
+        a[...] = np.linalg.inv(a)
+        return a
+    k = m // 2
+    a11, a12, a21, a22 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
+    _inverse_in_place(a11)
+    t = a11 @ a12
+    a22 -= a21 @ t
+    _inverse_in_place(a22)
+    np.matmul(a22, a21 @ a11, out=a21)
+    np.negative(a21, out=a21)
+    a11 -= t @ a21
+    np.matmul(t, a22, out=a12)
+    np.negative(a12, out=a12)
+    return a
+
+
 def _refine_solve(
     chain: ResidueChain, states: list[int], scales: list[int]
 ) -> tuple[list[int], int, SolverFacts]:
@@ -294,7 +329,8 @@ def _refine_solve(
     refinement on exact integer residuals (Wan, J. Symb. Comput. 41(6), 2006).
 
     Returns the numerators over their common denominator, (nums, den).
-    A step solves for the exact int64 residual r with one float64 inverse,
+    The float64 system is inverted once, in place, by _inverse_in_place.
+    A step solves for the exact int64 residual r with that inverse,
     z = inv r, keeps the s bits of z that its own float residual vouches
     for, and sets r <- 2^s r - A c with c = rint(z 2^s), exactly over the
     COO triples; value <- 2^s value + c keeps A value = 2^bits e_last - r.
@@ -306,7 +342,7 @@ def _refine_solve(
     """
     m = len(states)
     rows, cols, vals, scale = _integer_system(chain, states, scales)
-    inv = np.linalg.inv(np.bincount(rows * m + cols, vals, m * m).reshape(m, m))
+    inv = _inverse_in_place(np.bincount(rows * m + cols, vals, m * m).reshape(m, m))
     starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
     row_sum = int(np.add.reduceat(np.abs(vals), starts).max())
     r = np.zeros(m, dtype=np.int64)

@@ -473,7 +473,8 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     The one function that finishes a program and builds a PlanReport:
     every strategy but ``direct`` is a decision rule that ``_emit_decided``
     follows onto one ProgramBuilder, and ``auto``'s program is checked
-    against the count its dynamic program promised.
+    against the count its dynamic program promised.  A length whose
+    reduction levels outrun Python's recursion limit raises ValueError.
     """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
@@ -505,7 +506,13 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
             method = f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else "")
         else:
             decide, method = (lambda m: model.splits[m][1]), "factor"
-        value = _emit_decided(b, x, n, decide, trace)
+        try:
+            value = _emit_decided(b, x, n, decide, trace)
+        except RecursionError:
+            # the walker recurses once per reduction level
+            raise ValueError(
+                f"length {n} needs too many reduction levels for a {strategy.label()} plan"
+            ) from None
     program = b.finish(value, n)
     if kind == "auto" and program.declared_muls != model.splits[n][0]:
         raise AssertionError(

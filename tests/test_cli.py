@@ -280,6 +280,7 @@ MALFORMED = [
     (("plan", "--n", "10", "--strategy", "mixed:2,2"), 2, ""),
     (("plan", "--n", "5", "--strategy", "mixed:2,x"), 2, "strategy 'mixed:2,x'"),
     (("plan", "--n", "5", "--out", "no-such-dir/plan.json"), 2, ""),
+    (("plan", "--n", str(2**300), "--strategy", "binary"), 2, "too many reduction levels"),
     (("verify", "--min", "1", "--max", "5", "--strategy", "bogus"), 2, ""),
     (("count", "--min", "1", "--max", "5", "--strategy", "prime:x"), 2, "strategy 'prime:x'"),
     (("markov", "--bases", "x"), 2, "argument --bases"),

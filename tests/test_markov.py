@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -335,13 +336,70 @@ def test_row_past_the_int64_limit_is_a_value_error():
         stationary(chain)
 
 
-@pytest.mark.parametrize("bases", [(2,), (3, 2), (7, 5, 3, 2)])
+@pytest.mark.parametrize("bases", [(2,), (3, 2), (7, 5, 3, 2), (11, 7, 5, 2)])
 def test_poor_float_inverse_raises_instead_of_returning(monkeypatch, bases):
+    # 770 states run the poisoned LAPACK leaves through the block recursion
     monkeypatch.setattr(markov, "_stationary_cache", {})
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) / 2)
     with pytest.raises(markov.CertificationError, match="refinement step 1 gains no bit"):
         stationary(build_chain(bases))
+
+
+def stationary_system(bases):
+    """The float64 system that _refine_solve inverts for the chain of ``bases``."""
+    chain = build_chain(bases)
+    states = list(markov._closed_classes(chain)[0])
+    rows, cols, vals, _ = markov._integer_system(chain, states, markov._row_scales(chain))
+    m = len(states)
+    return np.bincount(rows * m + cols, vals, m * m).reshape(m, m)
+
+
+def seeded_system(m, seed):
+    """A system shaped like the chains': non-negative off-diagonal entries,
+    each diagonal entry minus its column's off-diagonal sum, a cycle through
+    every state and a last row of positive weights."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, 12, (m, m)) * (rng.random((m, m)) < 0.05)
+    a[(np.arange(m) + 1) % m, np.arange(m)] += 1
+    np.fill_diagonal(a, 0)
+    a -= np.diag(a.sum(axis=0))
+    a[-1] = rng.integers(1, 12, m)
+    return a.astype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        lambda: stationary_system((7, 5, 3, 2)),
+        lambda: stationary_system((11, 7, 5, 2)),
+        lambda: stationary_system((11, 7, 5, 3, 2)),
+        lambda: seeded_system(markov._LEAF_ROWS + 1, 129),  # one block level
+    ],
+    ids=["m210", "m770", "m2310", "seeded-m129"],
+)
+def test_block_inverse_matches_lapack_in_place(system):
+    a = system()
+    expected = np.linalg.inv(a)
+    got = markov._inverse_in_place(a)
+    assert got is a
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_refine_solve_holds_one_system_matrix_and_its_temporaries():
+    # the system matrix plus under one matrix of block temporaries; an
+    # inverse beside the system matrix, as LAPACK's is, reads 2.06
+    chain = build_chain((11, 7, 5, 2))
+    states = list(markov._closed_classes(chain)[0])
+    scales = markov._row_scales(chain)
+    tracemalloc.start()
+    try:
+        markov._refine_solve(chain, states, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 770
+    assert peak < 1.9 * 8 * 770**2
 
 
 def test_step_above_its_promised_residual_raises(monkeypatch):

@@ -376,6 +376,16 @@ def test_direct_plan_is_baseline():
         plan(2**16 + 1, "direct")
 
 
+def test_too_many_reduction_levels_is_a_value_error():
+    # the walker recurses once per level, so the longest length that plans
+    # depends on the caller's stack depth: 2**240 does from the command line
+    assert plan(2**200, "binary").muls == 398
+    assert plan(2**300, "prime:2").muls == 598
+    for n, spelling in ((2**251, "binary"), (2**401, "prime:2")):
+        with pytest.raises(ValueError, match=f"length {n} needs too many reduction levels"):
+            plan(n, spelling)
+
+
 # -- predictions ----------------------------------------------------------------
 
 
