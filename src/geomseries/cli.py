@@ -17,13 +17,7 @@ import sys
 
 from . import asymptotic, chains, linalg, markov
 from .linalg import plan_digest
-from .planner import (
-    PlanReport,
-    Strategy,
-    default_cost_model,
-    plan as build_plan,
-    predicted_cost,
-)
+from .planner import PlanReport, Strategy, plan as build_plan, predicted_cost
 from .slp import add_count, oracle_facts, passes_oracle, to_json
 
 DEFAULT_VERIFY_STRATEGIES = ("auto", "binary", "ternary", "mixed:11,7,5,3,2")
@@ -86,6 +80,18 @@ def _parse_strategies(items) -> list[Strategy]:
     return [Strategy.parse(s) for s in (items or DEFAULT_VERIFY_STRATEGIES)]
 
 
+def _plans(strategies: list[Strategy], lo: int, hi: int):
+    """(n, strategy, report) for every length in [lo, hi] and every strategy
+    that applies there; a strategy that does not is skipped at that length."""
+    for n in range(lo, hi + 1):
+        for strat in strategies:
+            try:
+                rep = build_plan(n, strat)
+            except ValueError:
+                continue
+            yield n, strat, rep
+
+
 def _count_row(n: int, strat: Strategy, rep: PlanReport) -> dict:
     """One row of the counts table; predicted is None where no formula exists."""
     try:
@@ -101,28 +107,23 @@ def cmd_verify(args) -> int:
     rows: list[dict] = []
     checked = 0
     max_bits = decodes = retries = 0
-    for n in range(args.min, args.max + 1):
-        for strat in strategies:
-            try:
-                rep = build_plan(n, strat)
-            except ValueError:
-                continue  # strategy not applicable at this length
-            checked += 1
-            ok, bits, scans, abandoned = oracle_facts(rep.program)
-            max_bits = max(max_bits, bits)
-            decodes += scans
-            retries += abandoned
-            if not ok:
-                failures.append(
-                    {
-                        "n": n,
-                        "strategy": strat.label(),
-                        "muls": rep.muls,
-                        "plan": json.loads(to_json(rep.program)),
-                    }
-                )
-            if args.counts:
-                rows.append({**_count_row(n, strat, rep), "ok": ok})
+    for n, strat, rep in _plans(strategies, args.min, args.max):
+        checked += 1
+        ok, bits, scans, abandoned = oracle_facts(rep.program)
+        max_bits = max(max_bits, bits)
+        decodes += scans
+        retries += abandoned
+        if not ok:
+            failures.append(
+                {
+                    "n": n,
+                    "strategy": strat.label(),
+                    "muls": rep.muls,
+                    "plan": json.loads(to_json(rep.program)),
+                }
+            )
+        if args.counts:
+            rows.append({**_count_row(n, strat, rep), "ok": ok})
     # Known-bad reference fixtures must keep failing the oracle.
     fixtures = [
         ("flawed-length-11", chains.flawed_length11_chain()),
@@ -165,14 +166,7 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     strategies = _parse_strategies(args.strategy)
-    rows = []
-    for n in range(args.min, args.max + 1):
-        for strat in strategies:
-            try:
-                rep = build_plan(n, strat)
-            except ValueError:
-                continue
-            rows.append(_count_row(n, strat, rep))
+    rows = [_count_row(n, strat, rep) for n, strat, rep in _plans(strategies, args.min, args.max)]
     if args.format == "json":
         _write(_dump_json(rows), args.out)
     elif args.format == "csv":
@@ -182,9 +176,13 @@ def cmd_count(args) -> int:
             lines.append(f"{r['n']},{r['strategy']},{r['muls']},{pred}")
         _write("\n".join(lines) + "\n", args.out)
     else:
+        lines = []
         for r in rows:
             pred = "-" if r["predicted"] is None else f"{r['predicted']:.3f}"
-            print(f"n={r['n']:>6} {r['strategy']:<18} muls={r['muls']:>4} predicted={pred}")
+            lines.append(
+                f"n={r['n']:>6} {r['strategy']:<18} muls={r['muls']:>4} predicted={pred}\n"
+            )
+        _write("".join(lines), args.out)
     return 0
 
 
@@ -206,10 +204,9 @@ def _sample_count(text: str) -> int:
 
 
 def cmd_markov(args) -> int:
-    model = default_cost_model()
     rows = []
     for bases in args.bases:
-        chain = markov.build_chain(bases, model, modulus=args.modulus)
+        chain = markov.build_chain(bases, modulus=args.modulus)
         result = markov.stationary(chain)
         row = {
             "bases": list(bases),
@@ -238,9 +235,11 @@ def cmd_markov(args) -> int:
             lines.append(f"\"{','.join(map(str, r['bases']))}\",{r['coefficient']:.4f},{emp}")
         _write("\n".join(lines) + "\n", args.out)
     else:
+        lines = []
         for r in rows:
             extra = f" empirical={r['empirical']:.4f}" if "empirical" in r else ""
-            print(f"bases={r['bases']} coefficient={r['coefficient']:.4f}{extra}")
+            lines.append(f"bases={r['bases']} coefficient={r['coefficient']:.4f}{extra}\n")
+        _write("".join(lines), args.out)
     return 0
 
 
@@ -265,10 +264,15 @@ def cmd_asymptotic(args) -> int:
     if args.format == "json":
         _write(_dump_json(doc), args.out)
     else:
-        print(f"k = {doc['k']}")
-        print(f"coefficient = {doc['coefficient']}  (terms={result.terms_used})")
+        lines = [
+            f"k = {doc['k']}\n",
+            f"coefficient = {doc['coefficient']}  (terms={result.terms_used})\n",
+        ]
         for row in doc["floor_identity"]:
-            print(f"  n={row['n']}: floor={row['floor']} expected={row['y']} match={row['match']}")
+            lines.append(
+                f"  n={row['n']}: floor={row['floor']} expected={row['y']} match={row['match']}\n"
+            )
+        _write("".join(lines), args.out)
     return 0
 
 

@@ -52,17 +52,13 @@ class ResidueChain:
 
     ``rows[j]`` lists (target, probability) pairs; ``policy[j]`` is the
     (base, per-level multiplications) the planner's rule picks in
-    residue class j.  The hash leaves out the rows, whose Fractions are
-    costly to hash; equal chains still hash equal.
+    residue class j.
     """
 
     bases: tuple[int, ...]
     modulus: int
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     policy: tuple[tuple[int, int], ...]
-
-    def __hash__(self) -> int:
-        return hash((self.bases, self.modulus, self.policy))
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,6 @@ _INT64_ROOM = 62  # 2^s r and A c stay below 2^62, so 2^s r - A c fits int64
 _INT64_LIMIT = 1 << 63
 _MAX_STEPS = 1024
 _CHECKPOINT_GROWTH = 1.25  # reconstruct each time the lifted bits grow by this factor
-_STATIONARY_CACHE_SIZE = 8
 
 
 def _row_scales(chain: ResidueChain) -> list[int]:
@@ -387,9 +382,6 @@ def _refine_solve(
     raise CertificationError(f"stationary refinement not certified in {_MAX_STEPS} steps ({bits} bits)")
 
 
-_stationary_cache: dict[ResidueChain, StationaryResult] = {}
-
-
 def stationary(chain: ResidueChain) -> StationaryResult:
     """Exact stationary distribution and the asymptotic cost coefficient.
 
@@ -403,12 +395,8 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     denominators below 2^56 solved; those from about 2^56 up to 2^63
     raise CertificationError, which names the step (or the step limit).  The
     result is always checked to be an exact fixed point before being
-    returned, and the last few results are cached per chain since large
-    solves are expensive.
+    returned.
     """
-    cached = _stationary_cache.get(chain)
-    if cached is not None:
-        return cached
     scales = _row_scales(chain)
     closed = _closed_classes(chain)
     if len(closed) != 1:
@@ -427,7 +415,7 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     mean_cost = Fraction(cost_num, den)
     avg_base = 2.0 ** mean_bits
     coefficient = float(mean_cost) / mean_bits
-    result = StationaryResult(
+    return StationaryResult(
         dist=tuple(Fraction(v, den) for v in nums),
         base_probs={p: Fraction(v, den) for p, v in base_nums.items()},
         mean_cost=mean_cost,
@@ -435,10 +423,6 @@ def stationary(chain: ResidueChain) -> StationaryResult:
         coefficient=coefficient,
         solver=facts,
     )
-    _stationary_cache[chain] = result
-    while len(_stationary_cache) > _STATIONARY_CACHE_SIZE:
-        del _stationary_cache[next(iter(_stationary_cache))]
-    return result
 
 
 # -- Monte-Carlo cross-check ---------------------------------------------------

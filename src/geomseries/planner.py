@@ -546,16 +546,17 @@ def predicted_cost(strategy: Strategy | str, n: int) -> float:
     if n == 1:
         return 0.0
     ln = math.log2(n)
+    model = default_cost_model()
     if strategy.kind in ("binary", "ternary", "prime_power"):
         base = {"binary": 2, "ternary": 3}.get(strategy.kind, strategy.base)
         if strategy.kind == "prime_power" and _exact_log(n, base) is None:
             raise ValueError(f"{n} is not a power of {base}")
-        return default_cost_model().cost(base, 0) * ln / math.log2(base) - 2.0
+        return model.cost(base, 0) * ln / math.log2(base) - model.terminal_credit
     if strategy.kind == "recurrence":
         level, _ = _recurrence_power(n)
-        return (1 << level) * ln / math.log2(RECURRENCE_SIZES[level]) - 2.0
+        return (1 << level) * ln / math.log2(RECURRENCE_SIZES[level]) - model.terminal_credit
     if strategy.kind == "mixed":
-        return default_cost_model().mixed_table(strategy.bases).coefficient * ln - 2.0
+        return model.mixed_table(strategy.bases).coefficient * ln - model.terminal_credit
     raise ValueError(f"no closed-form cost for strategy {strategy.kind!r}")
 
 

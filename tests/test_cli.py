@@ -251,9 +251,11 @@ def test_python_dash_m_runs_the_cli():
     assert _strict_json(done.stdout)["muls"] == 6
 
 
-def test_bench_csv_shape(capsys):
+def test_bench_csv_shape(tmp_path, capsys):
+    report = tmp_path / "bench.json"
     code, out = run(
         capsys, "bench", "--sizes", "16", "--terms", "5,8", "--replicates", "2",
+        "--report", str(report),
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -264,6 +266,13 @@ def test_bench_csv_shape(capsys):
     assert [c[0] for c in cells] == ["16", "16"]
     assert [c[2] for c in cells] == ["3", "6"]
     assert [c[3] for c in cells] == ["2", "4"]
+    # the JSON report carries every CSV column and the replicate count
+    docs = json.loads(report.read_text())
+    assert set(docs[0]) == set(header) | {"replicates"}
+    for doc, cell in zip(docs, cells, strict=True):
+        assert [str(doc[key]) for key in header[:4]] == cell[:4]
+        assert doc["fast_plan_sha256"] == cell[header.index("fast_plan_sha256")]
+        assert doc["replicates"] == 2
 
 
 # Bad input exits 2 and a result that cannot be certified exits 1, each
@@ -350,3 +359,114 @@ def test_failed_certificate_exits_1_and_a_bug_keeps_its_traceback(monkeypatch, c
         monkeypatch.setattr(markov, "stationary", raising(bug))
         with pytest.raises(type(bug), match="a bug"):
             main(["markov", "--bases", "3,2"])
+
+
+def test_count_text_and_json(capsys):
+    argv = ("count", "--min", "5", "--max", "6", "--strategy", "auto",
+            "--strategy", "binary", "--strategy", "mixed:3,2")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (
+        "n=     5 auto               muls=   2 predicted=-\n"
+        "n=     5 binary             muls=   2 predicted=2.644\n"
+        "n=     5 mixed:3,2          muls=   2 predicted=2.469\n"
+        "n=     6 auto               muls=   3 predicted=-\n"
+        "n=     6 binary             muls=   3 predicted=3.170\n"
+        "n=     6 mixed:3,2          muls=   3 predicted=2.975\n"
+    )
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"n": 5, "strategy": "auto", "muls": 2, "predicted": None},
+        {"n": 5, "strategy": "binary", "muls": 2, "predicted": 2.6438561897747244},
+        {"n": 5, "strategy": "mixed:3,2", "muls": 2, "predicted": 2.468625898487277},
+        {"n": 6, "strategy": "auto", "muls": 3, "predicted": None},
+        {"n": 6, "strategy": "binary", "muls": 3, "predicted": 3.169925001442312},
+        {"n": 6, "strategy": "mixed:3,2", "muls": 3, "predicted": 2.9748441404260406},
+    ]
+
+
+def test_markov_csv_and_text(capsys):
+    code, out = run(capsys, "markov", "--bases", "3,2", "--bases", "5,2")
+    assert code == 0
+    assert out == "bases=[3, 2] coefficient=1.9245\nbases=[5, 2] coefficient=1.8555\n"
+    code, out = run(capsys, "markov", "--bases", "3,2", "--bases", "5,2", "--format", "csv")
+    assert code == 0
+    assert out == 'bases,coefficient,empirical\n"3,2",1.9245,\n"5,2",1.8555,\n'
+    code, out = run(capsys, "markov", "--bases", "3,2", "--empirical", "50", "--format", "csv")
+    assert code == 0
+    assert out == 'bases,coefficient,empirical\n"3,2",1.9245,1.9084\n'
+
+
+def test_asymptotic_text(capsys):
+    code, out = run(capsys, "asymptotic", "--digits", "6", "--floor-levels", "2", "--format", "text")
+    assert code == 0
+    assert out == (
+        "k = 1.502837\n"
+        "coefficient = 1.701582  (terms=5)\n"
+        "  n=0: floor=1 expected=1 match=True\n"
+        "  n=1: floor=2 expected=2 match=True\n"
+        "  n=2: floor=5 expected=5 match=True\n"
+    )
+
+
+def test_verify_reports_a_failing_plan(monkeypatch, capsys):
+    from geomseries import cli
+    from geomseries.slp import oracle_facts, to_json
+
+    bad = to_json(plan(9, "ternary").program)
+
+    def failing_ternary(program):
+        facts = oracle_facts(program)
+        return facts._replace(passes=False) if to_json(program) == bad else facts
+
+    monkeypatch.setattr(cli, "oracle_facts", failing_ternary)
+    argv = ("verify", "--min", "9", "--max", "9", "--strategy", "binary", "--strategy", "ternary")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == (
+        "checked 2 plans over [9, 9]: 1 FAILED\n"
+        "FAIL n=9 strategy=ternary\n"
+        "fixture flawed-length-11: fails oracle as designed\n"
+        "fixture flawed-length-26: fails oracle as designed\n"
+    )
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["failures"] == [
+        {"n": 9, "strategy": "ternary", "muls": 4, "plan": json.loads(bad)}
+    ]
+
+
+def test_verify_reports_a_fixture_that_passes(monkeypatch, capsys):
+    from geomseries import cli
+
+    monkeypatch.setattr(
+        cli, "passes_oracle", lambda program: program.series_length == 11 or passes_oracle(program)
+    )
+    code, out = run(capsys, "verify", "--min", "3", "--max", "4")
+    assert code == 1
+    assert out == (
+        "checked 8 plans over [3, 4]: all pass\n"
+        "fixture flawed-length-11: UNEXPECTEDLY PASSES\n"
+        "fixture flawed-length-26: fails oracle as designed\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--min", "5", "--max", "6", "--strategy", "auto"),
+        ("markov", "--bases", "3,2"),
+        ("asymptotic", "--digits", "6", "--floor-levels", "2", "--format", "text"),
+    ],
+    ids=["count", "markov", "asymptotic"],
+)
+def test_text_output_goes_to_out(tmp_path, capsys, argv):
+    _, expected = run(capsys, *argv)
+    out_path = tmp_path / "out.txt"
+    code, out = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    assert out_path.read_text() == expected

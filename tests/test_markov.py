@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -292,8 +291,7 @@ def random_chain(rng):
     return ResidueChain((2,), n, tuple(rows), ((2, 2),) * n)
 
 
-def test_random_chains_match_fraction_elimination(monkeypatch):
-    monkeypatch.setattr(markov, "_stationary_cache", {})
+def test_random_chains_match_fraction_elimination():
     rng = random.Random(20261018)
     with_transients = 0
     for _ in range(60):
@@ -319,8 +317,7 @@ def wide_row_chain(rng, n, bits):
     return ResidueChain((2,), n, tuple(rows), ((2, 2),) * n)
 
 
-def test_rows_of_52_bits_match_fraction_elimination(monkeypatch):
-    monkeypatch.setattr(markov, "_stationary_cache", {})
+def test_rows_of_52_bits_match_fraction_elimination():
     chain = wide_row_chain(random.Random(52), 12, 52)
     assert stationary(chain).dist == fraction_gauss_jordan(chain)
 
@@ -339,7 +336,6 @@ def test_row_past_the_int64_limit_is_a_value_error():
 @pytest.mark.parametrize("bases", [(2,), (3, 2), (7, 5, 3, 2), (11, 7, 5, 2)])
 def test_poor_float_inverse_raises_instead_of_returning(monkeypatch, bases):
     # 770 states run the poisoned LAPACK leaves through the block recursion
-    monkeypatch.setattr(markov, "_stationary_cache", {})
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) / 2)
     with pytest.raises(markov.CertificationError, match="refinement step 1 gains no bit"):
@@ -405,22 +401,27 @@ def test_refine_solve_holds_one_system_matrix_and_its_temporaries():
 def test_step_above_its_promised_residual_raises(monkeypatch):
     # claiming 8 bits more than the float residual vouches for leaves an
     # exact residual far above the bound the step promised
-    monkeypatch.setattr(markov, "_stationary_cache", {})
     monkeypatch.setattr(markov, "_SAFETY_BITS", -8)
     with pytest.raises(markov.CertificationError, match="refinement step 1: exact residual .* exceeds"):
         stationary(build_chain((3, 2)))
 
 
-def test_stationary_memo_evicts_oldest_first(monkeypatch):
-    monkeypatch.setattr(markov, "_stationary_cache", {})
-    monkeypatch.setattr(markov, "_STATIONARY_CACHE_SIZE", 2)
-    chains = [build_chain((3, 2), modulus=6 * k) for k in (1, 2, 3)]
-    first = [stationary(chain) for chain in chains]
-    assert list(markov._stationary_cache) == chains[1:]
-    assert stationary(chains[2]) is first[2]
-    again = stationary(chains[0])
-    assert again is not first[0] and again == first[0]
-    assert list(markov._stationary_cache) == chains[2:] + chains[:1]
+def test_the_mixed_table_is_the_one_memo_of_a_solve(monkeypatch):
+    solves = []
+    refine = markov._refine_solve
+
+    def counted(*args):
+        solves.append(args[0].modulus)
+        return refine(*args)
+
+    monkeypatch.setattr(markov, "_refine_solve", counted)
+    table = CostModel().mixed_table((3, 2))
+    assert table.coefficient == table.coefficient
+    assert solves == [6]
+    chain = build_chain((3, 2))
+    first, second = stationary(chain), stationary(chain)
+    assert first == second and first is not second
+    assert solves == [6, 6, 6]
 
 
 def test_integer_certificate_accepts_only_exact_fixed_points():
@@ -450,12 +451,8 @@ def test_chain_policy_is_the_walker_table():
             assert table.count(n) == cost + table.count((n - n % base) // base)
 
 
-def test_chain_hash_skips_rows_and_equality_unchanged():
-    first, second = build_chain((5, 3, 2)), build_chain((5, 3, 2), CostModel())
-    assert first == second and hash(first) == hash(second)
-    # equal hashes need not mean equal chains: the rows still decide equality
-    other = dataclasses.replace(second, rows=second.rows[::-1])
-    assert hash(other) == hash(first) and other != first
+def test_chains_of_equal_bases_are_equal():
+    assert build_chain((5, 3, 2)) == build_chain((5, 3, 2), CostModel())
 
 
 def test_build_chain_validation():
