@@ -8,8 +8,8 @@ Three chain families are provided:
   a corrected variant: a superficially similar published form fails the
   symbolic oracle and is kept here only as a negative fixture);
 * a generic parity-rule builder that halves the length each step
-  (factor (1 + x^2) when even, 1 + (x + x^2) * f((n-1)/2, x^2) when odd),
-  usable for any length >= 2;
+  ((1 + x) * f(n/2, x^2) when even, 1 + (x + x^2) * f((n-1)/2, x^2) when
+  odd), usable for any length >= 2;
 * the quadratic-recurrence family over sizes 1, 2, 5, 26, 677, ... where
   each size is the previous one squared plus one and the multiplication
   count merely doubles (2^n - 2 at level n).
@@ -94,29 +94,34 @@ SMALL_SIZES = tuple(size for size in _SMALL_EMITTERS if size > 1)
 
 
 def emit_binary_rule(b: ProgramBuilder, x: int, n: int) -> ChainPieces:
-    """Parity-rule chain for any length n >= 1, recursing on x^2.
+    """Parity-rule chain for any length n >= 1, halving the length on x^2.
 
-    Bottoms out at lengths 2 and 3, whichever the halving path reaches.
-    Costs 2 multiplications per halving step (the square and the combine).
+    Squares down to length 1, 2 or 3, whichever the halving path reaches,
+    emits that chain, then combines on the way back up: f(n, x) is
+    (1 + x) f(n/2, x^2) for even n and 1 + (x + x^2) f((n-1)/2, x^2) for
+    odd n.  Costs 2 multiplications per halving step (the square and the
+    combine).
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    if n == 1:
-        return _emit_f1(b, x)
-    if n == 2:
-        return _emit_f2(b, x)
-    if n == 3:
-        return _emit_f3(b, x)
-    y = b.mul(x, x)
-    inner = emit_binary_rule(b, y, n // 2)
-    powers = {2: y}
-    powers.update({2 * e: r for e, r in inner.powers.items()})
-    if n % 2 == 0:
-        # (1 + x) f(n/2, x^2); the factor must be 1 + x, not 1 + x^2,
-        # or every interior even coefficient is counted twice.
-        value = b.mul(b.add(b.one(), x), inner.value)
-    else:
-        value = b.add(b.one(), b.mul(b.add(x, y), inner.value))
+    steps = []
+    while n > 3:
+        y = b.mul(x, x)
+        steps.append((x, y, n % 2))
+        x, n = y, n // 2
+    pieces = _SMALL_EMITTERS[n](b, x)
+    value = pieces.value
+    for x, y, odd in reversed(steps):
+        if odd:
+            value = b.add(b.one(), b.mul(b.add(x, y), value))
+        else:
+            # the factor must be 1 + x, not 1 + x^2, or every interior
+            # even coefficient is counted twice
+            value = b.mul(b.add(b.one(), x), value)
+    # step i squared x^(2^i) into x^(2^(i+1)); the last chain ran on
+    # x^(2^len(steps))
+    powers = {2 << i: y for i, (_, y, _) in enumerate(steps)}
+    powers.update({e << len(steps): r for e, r in pieces.powers.items()})
     return ChainPieces(value, powers)
 
 

@@ -91,6 +91,12 @@ class StationaryResult:
     solver: SolverFacts
 
 
+# The stationary solve builds a dense m x m float64 system: at twice the
+# default 2310 states it takes about 4 s (2 cores), and 30030 states,
+# lcm(13, 11, 7, 5, 3, 2), would need 7.2 GB.
+_MAX_CHAIN_STATES = 4620
+
+
 def build_chain(
     bases: tuple[int, ...],
     model: CostModel | None = None,
@@ -99,7 +105,8 @@ def build_chain(
     """Chain for the given bases on residues mod lcm(bases) by default.
 
     A larger modulus (any common multiple) may be passed for sensitivity
-    checks; the stationary coefficient must not depend on it.
+    checks; the stationary coefficient must not depend on it.  A modulus
+    above _MAX_CHAIN_STATES is refused before any row is built.
     """
     table = (model or default_cost_model()).mixed_table(tuple(bases))
     m = table.modulus
@@ -107,6 +114,8 @@ def build_chain(
         if modulus < 1 or modulus % m != 0:
             raise ValueError(f"modulus must be a positive multiple of {m}, got {modulus}")
         m = modulus
+    if m > _MAX_CHAIN_STATES:
+        raise ValueError(f"residue chains are capped at {_MAX_CHAIN_STATES} states, got {m}")
     rows = []
     policy = []
     for j in range(m):

@@ -5,7 +5,7 @@ r = N mod P, rewrite
 
     f(N, x) = f(r, x) + x^r * f(P, x) * f((N - r) / P, x^P)
 
-and recurse on the quotient with x replaced by x^P.  The r = 0 case is a
+and reduce the quotient in turn with x replaced by x^P.  The r = 0 case is a
 plain product split; for r >= 1 the register t = x * f(P, x) doubles as a
 free source of x^P (t - f(P, x) + 1), so odd residues cost no extra power
 step.  Terminal lengths with a built-in chain are emitted directly, which
@@ -17,12 +17,20 @@ decision rule, which names at each length a built-in chain, a recurrence
 chain, a factor split or a reduction level, and one walker,
 ``_emit_decided``, follows that rule onto one ProgramBuilder through the
 chain emitters of ``chains``.  ``plan`` alone finishes the program and
-builds its PlanReport.  Every factor split f(k * m, x) = f(k, x) * f(m, x^k)
-goes through ``_emit_split``, every level through ``_emit_level``, and
-every trace lists the decisions in emission order, (n, k, 0) for a split
-and (n, P, r) for a level.  The multiplication counts the planners
-compare are read off scratch emissions of those same emitters, so no
-count is kept by hand.
+builds its PlanReport.  The walker is a loop down the quotients: a
+factor split f(k * m, x) = f(k, x) * f(m, x^k) makes its power through
+``_split_power``, a level emits its part through ``_emit_level``, and
+each one's ``_join`` around the inner series is emitted in reverse once
+the leaf is built, so no length is limited by the Python stack.  Every
+trace lists the decisions in emission order, (n, k, 0) for a split and
+(n, P, r) for a level.  The multiplication counts the planners compare
+are read off scratch emissions of those same emitters, so no count is
+kept by hand.
+
+Three caps keep every answer bounded: ``direct`` plans up to length
+2**16, ``auto`` plans up to 2**48 (its dynamic program visits every
+divisor and quotient of the length), and mixed bases up to 2**10.  The
+other strategies have no length limit.
 
 Strategies:
 
@@ -64,12 +72,21 @@ TERMINAL_SIZES = frozenset({1, *SMALL_SIZES})
 _STRATEGY_KINDS = ("direct", "binary", "ternary", "prime_power", "mixed", "recurrence", "auto")
 
 
+# A level of residue r multiplies out the powers of its length-r prefix,
+# so a base P can spend about P multiplications per level: mixed:100000
+# spends 100014 at length 199999, half of direct's count.
+_MAX_MIXED_BASE = 2**10
+
+
 def _check_mixed_bases(bases: tuple[int, ...] | None) -> None:
-    """The one check of a mixed bases set: distinct bases, each at least 2."""
+    """The one check of a mixed bases set: distinct bases, each at least 2
+    and at most _MAX_MIXED_BASE."""
     if not bases:
         raise ValueError("mixed strategy needs at least one base")
     if len(set(bases)) != len(bases) or min(bases) < 2:
         raise ValueError("mixed bases must be pairwise distinct and >= 2")
+    if max(bases) > _MAX_MIXED_BASE:
+        raise ValueError(f"mixed bases are capped at {_MAX_MIXED_BASE}, got {max(bases)}")
 
 
 @dataclass(frozen=True)
@@ -140,66 +157,43 @@ def _emitted_muls(emit: Callable[[ProgramBuilder, int], object]) -> int:
     return sum(1 for ins in b.instrs if ins.op == MUL)
 
 
-def _materialize_power(b: ProgramBuilder, powers: dict[int, int], e: int) -> int:
-    """Register holding x^e, built greedily from the powers already present."""
-    if e in powers:
-        return powers[e]
-    largest = max(k for k in powers if k < e)
-    rest = _materialize_power(b, powers, e - largest)
-    reg = b.mul(powers[largest], rest)
-    powers[e] = reg
-    return reg
-
-
-def _emit_split(
-    b: ProgramBuilder,
-    x: int,
-    emit_left: Callable[[ProgramBuilder, int], int],
-    emit_right: Callable[[ProgramBuilder, int], int],
-) -> int:
-    """f(k * m, x) = f(k, x) * f(m, x^k), the one factor split.
-
-    Emits left = f(k, x), the power x^k = left * (x - 1) + 1, right =
-    f(m, x^k) at that power, and returns the register of left * right.
-    """
-    left = emit_left(b, x)
-    power = b.add(b.mul(left, b.sub(x, b.one())), b.one())
-    return b.mul(left, emit_right(b, power))
+def _split_power(b: ProgramBuilder, x: int, left: int) -> int:
+    """x^k = left * (x - 1) + 1 from left = f(k, x), the power a factor
+    split f(k * m, x) = f(k, x) * f(m, x^k) continues at."""
+    return b.add(b.mul(left, b.sub(x, b.one())), b.one())
 
 
 def _emit_level(
-    b: ProgramBuilder,
-    x: int,
-    base: int,
-    residue: int,
-    emit_inner: Callable[[ProgramBuilder, int], int] | None,
-) -> int:
-    """One reduction level f(q * base + r, x) at register x.
+    b: ProgramBuilder, x: int, base: int, residue: int, inner: bool
+) -> tuple[int, list[int], int | None]:
+    """The part of one reduction level f(q * base + r, x) before its inner series.
 
-    ``emit_inner(b, power)`` emits f(q, power) at power = x^base; without
-    it q is 1 and no power is made.  Residue 0 is a factor split.  For
-    r >= 1 the register t = x * f(base, x) makes x^base = t - f(base, x) + 1
-    free, and the level adds the length-r prefix to x^r * f(base, x) * inner.
+    Returns (factor, prefix, power): the level is sum(prefix) + factor *
+    f(q, power) at power = x^base, which ``_join`` builds once f(q, power)
+    is emitted.  Without ``inner`` q is 1, no power is made (power is
+    None) and the level is sum(prefix) + factor.  Residue 0 is a factor
+    split.  For r >= 1 the register t = x * f(base, x) makes x^base =
+    t - f(base, x) + 1 free, prefix holds the terms 1, x, ..., x^(r-1) of
+    f(r, x), and factor is x^r * f(base, x).
     """
-    if residue == 0 and emit_inner is not None:
-        return _emit_split(b, x, lambda bb, xx: emit_series_chain(bb, xx, base).value, emit_inner)
     pieces = emit_series_chain(b, x, base)
     fp = pieces.value
     if residue == 0:
-        return fp
+        return fp, [], _split_power(b, x, fp) if inner else None
     t = b.mul(x, fp)
-    power = b.add(b.sub(t, fp), b.one()) if emit_inner is not None else None
-    prefix, multiplier = [b.one()], t
+    power = b.add(b.sub(t, fp), b.one()) if inner else None
+    prefix, factor = [b.one()], t
     if residue >= 2:
-        powers = {1: x}
-        powers.update(pieces.powers)
         prefix.append(x)
         for e in range(2, residue):
-            prefix.append(_materialize_power(b, powers, e))
-        multiplier = b.mul(t, _materialize_power(b, powers, residue - 1))
-    if emit_inner is not None:
-        multiplier = b.mul(multiplier, emit_inner(b, power))
-    return b.add_many(prefix + [multiplier])
+            prefix.append(pieces.powers[e] if e in pieces.powers else b.mul(prefix[-1], x))
+        factor = b.mul(t, prefix[-1])
+    return factor, prefix, power
+
+
+def _join(b: ProgramBuilder, factor: int, prefix: list[int], inner: int) -> int:
+    """sum(prefix) + factor * inner: a level or split around its inner series."""
+    return b.add_many(prefix + [b.mul(factor, inner)])
 
 
 # Entries one _Memo keeps, about 11 MiB of factor splits.  The memos live
@@ -254,7 +248,7 @@ class CostModel:
 
     def __init__(self) -> None:
         self._costs = _Memo(
-            lambda key: _emitted_muls(lambda b, x: _emit_level(b, x, *key, lambda _, power: power))
+            lambda key: _emitted_muls(lambda b, x: _join(b, *_emit_level(b, x, *key, True)))
         )
         self._tables = _Memo(lambda bases: MixedTable(bases, self))
         self.splits = _Memo(self._best_split)
@@ -301,7 +295,7 @@ class CostModel:
         if level[0] == "level" and level[2]:
             _, base, residue = level
             q = n // base
-            alone = lambda b, x: _emit_level(b, x, base, residue, None)
+            alone = lambda b, x: _emit_level(b, x, base, residue, False)
             muls = self.cost(base, residue) + self.splits[q][0] if q > 1 else _emitted_muls(alone)
             candidates.append((muls, 3, level))
         muls, _, decision = min(candidates, key=lambda c: (c[0], c[1], c[2]))
@@ -387,6 +381,10 @@ class MixedTable:
 # The nested baseline spends 2n instructions, 22 MiB at n = 10**5, so
 # longer direct plans are refused rather than built.
 _MAX_DIRECT_LENGTH = 2**16
+# auto's dynamic program visits every divisor and level quotient of the
+# length: cold, 2**48 takes about 17 s over 38,992 states, and the states
+# keep growing past it, so longer auto plans are refused as well.
+_MAX_AUTO_LENGTH = 2**48
 
 
 def _emit_horner(b: ProgramBuilder, x: int, n: int) -> int:
@@ -435,21 +433,38 @@ def _emit_decided(
 
     A decision is ("chain",), ("recurrence", k), ("split", k), traced as
     (m, k, 0), or the reduction level ("level", base, r), traced as
-    (m, base, r); the trace lists them in emission order.
+    (m, base, r); the trace lists them in emission order.  One loop walks
+    down the quotients, each split or level emitting its part before the
+    inner series, and the joins are emitted in reverse once the leaf is
+    built; only a split's left factor f(k, x), k <= sqrt(m), is walked by
+    a nested call.
     """
-    decision = decide(n)
-    if decision[0] == "chain":
-        return emit_series_chain(b, x, n).value
-    if decision[0] == "recurrence":
-        return emit_recurrence(b, x, decision[1]).value
-    walk = lambda m: lambda bb, xx: _emit_decided(bb, xx, m, decide, trace)
-    if decision[0] == "split":
-        k = decision[1]
-        trace.append((n, k, 0))
-        return _emit_split(b, x, walk(k), walk(n // k))
-    _, base, residue = decision
-    trace.append((n, base, residue))
-    return _emit_level(b, x, base, residue, walk(n // base) if n // base > 1 else None)
+    joins: list[tuple[int, list[int]]] = []
+    value = None
+    while value is None:
+        decision = decide(n)
+        if decision[0] == "chain":
+            value = emit_series_chain(b, x, n).value
+        elif decision[0] == "recurrence":
+            value = emit_recurrence(b, x, decision[1]).value
+        elif decision[0] == "split":
+            k = decision[1]
+            trace.append((n, k, 0))
+            left = _emit_decided(b, x, k, decide, trace)
+            joins.append((left, []))
+            x, n = _split_power(b, x, left), n // k
+        else:
+            _, base, residue = decision
+            trace.append((n, base, residue))
+            n //= base
+            factor, prefix, x = _emit_level(b, x, base, residue, n > 1)
+            if x is None:
+                value = b.add_many(prefix + [factor])
+            else:
+                joins.append((factor, prefix))
+    for factor, prefix in reversed(joins):
+        value = _join(b, factor, prefix, value)
+    return value
 
 
 class AutoPlanner:
@@ -473,8 +488,9 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     The one function that finishes a program and builds a PlanReport:
     every strategy but ``direct`` is a decision rule that ``_emit_decided``
     follows onto one ProgramBuilder, and ``auto``'s program is checked
-    against the count its dynamic program promised.  A length whose
-    reduction levels outrun Python's recursion limit raises ValueError.
+    against the count its dynamic program promised.  ``direct`` above
+    _MAX_DIRECT_LENGTH and ``auto`` above _MAX_AUTO_LENGTH raise
+    ValueError; the other strategies take any length they apply to.
     """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
@@ -505,14 +521,13 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
             decide = lambda m: ("recurrence", level) if m <= y else ("split", y)
             method = f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else "")
         else:
+            if n > _MAX_AUTO_LENGTH:
+                raise ValueError(
+                    f"auto plans are capped at length {_MAX_AUTO_LENGTH}, got {n}; "
+                    "use mixed:11,7,5,3,2 or binary"
+                )
             decide, method = (lambda m: model.splits[m][1]), "factor"
-        try:
-            value = _emit_decided(b, x, n, decide, trace)
-        except RecursionError:
-            # the walker recurses once per reduction level
-            raise ValueError(
-                f"length {n} needs too many reduction levels for a {strategy.label()} plan"
-            ) from None
+        value = _emit_decided(b, x, n, decide, trace)
     program = b.finish(value, n)
     if kind == "auto" and program.declared_muls != model.splits[n][0]:
         raise AssertionError(

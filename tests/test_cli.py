@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -35,6 +36,27 @@ def test_plan_json_format_carries_hash(capsys):
     doc = json.loads(out)
     assert doc["muls"] == 6
     assert len(doc["plan_sha256"]) == 64
+
+
+def test_plan_binary_at_two_to_the_300(capsys):
+    code, out = run(capsys, "plan", "--n", str(2**300), "--strategy", "binary", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["muls"] == 598
+
+
+def test_counts_print_no_prediction_past_the_chain_cap(capsys):
+    # lcm(13, 11, 7, 5, 3, 2) = 30030 residue states, above the 4620 cap
+    argv = ("count", "--min", "30", "--max", "31", "--strategy", "mixed:13,11,7,5,3,2")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"n": 30, "strategy": "mixed:13,11,7,5,3,2", "muls": 7, "predicted": None},
+        {"n": 31, "strategy": "mixed:13,11,7,5,3,2", "muls": 7, "predicted": None},
+    ]
+    code, out = run(capsys, "verify", "--min", "30", "--max", "30", "--counts",
+                    "--strategy", "mixed:13,11,7,5,3,2", "--format", "json")
+    assert code == 0
+    assert [row["predicted"] for row in json.loads(out)["counts"]] == [None]
 
 
 def test_plan_deterministic_output(capsys):
@@ -289,12 +311,15 @@ MALFORMED = [
     (("plan", "--n", "10", "--strategy", "mixed:2,2"), 2, ""),
     (("plan", "--n", "5", "--strategy", "mixed:2,x"), 2, "strategy 'mixed:2,x'"),
     (("plan", "--n", "5", "--out", "no-such-dir/plan.json"), 2, ""),
-    (("plan", "--n", str(2**300), "--strategy", "binary"), 2, "too many reduction levels"),
+    (("plan", "--n", str(2**100)), 2, "auto plans are capped at length 281474976710656"),
+    (("plan", "--n", "199999", "--strategy", "mixed:100000"), 2, "mixed bases are capped at 1024"),
     (("verify", "--min", "1", "--max", "5", "--strategy", "bogus"), 2, ""),
     (("count", "--min", "1", "--max", "5", "--strategy", "prime:x"), 2, "strategy 'prime:x'"),
     (("markov", "--bases", "x"), 2, "argument --bases"),
     (("markov", "--bases", ","), 2, "argument --bases"),
     (("markov", "--bases", "2,2"), 2, ""),
+    (("markov", "--bases", "2000,3"), 2, "mixed bases are capped at 1024"),
+    (("markov", "--bases", "13,11,7,5,3,2"), 2, "residue chains are capped at 4620 states"),
     (("markov", "--bases", "3,2", "--modulus", "0"), 2, ""),
     (("markov", "--bases", "3,2", "--modulus", "7"), 2, ""),
     (("markov", "--bases", "3,2", "--empirical", "0"), 2, ""),
@@ -308,6 +333,8 @@ MALFORMED = [
     (("invert", "text.csv", "--terms", "5"), 2, ""),
     (("invert", "empty.csv", "--terms", "5"), 2, ""),
     (("invert", "truncated.bin", "--terms", "5"), 2, ""),
+    (("invert", "version.bin", "--terms", "5"), 2, "unsupported version 2"),
+    (("invert", "short.bin", "--terms", "5"), 2, "expected 56 bytes, found 32"),
     (("invert", "ok.csv", "--terms", "0"), 2, ""),
     (("invert", "ok.csv", "--terms", "5", "--strategy", "bogus"), 2, ""),
     (("invert", "hot.csv", "--terms", "5"), 1, ""),
@@ -330,6 +357,8 @@ def test_malformed_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv
     (tmp_path / "text.csv").write_text("a,b\nc,d\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "truncated.bin").write_bytes(b"GSMX\x01\x00")
+    (tmp_path / "version.bin").write_bytes(struct.pack("<4sIQQd", b"GSMX", 2, 1, 1, 0.5))
+    (tmp_path / "short.bin").write_bytes(struct.pack("<4sIQQd", b"GSMX", 1, 2, 2, 0.5))
     linalg.save_matrix_csv("ok.csv", np.array([[0.5, 0.0], [0.0, 0.5]]))
     linalg.save_matrix_csv("hot.csv", np.array([[3.0]]))
     try:

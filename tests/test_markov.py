@@ -464,6 +464,15 @@ def test_build_chain_validation():
         build_chain((3, 2), modulus=7)
 
 
+def test_build_chain_refuses_more_states_than_its_cap():
+    assert build_chain((3, 2), modulus=4620).modulus == 4620
+    for bases, modulus in (((13, 11, 7, 5, 3, 2), None), ((3, 2), 4626)):
+        with pytest.raises(ValueError, match="residue chains are capped at 4620 states"):
+            build_chain(bases, modulus=modulus)
+    with pytest.raises(ValueError, match="capped at 4620 states, got 30030"):
+        CostModel().mixed_table((13, 11, 7, 5, 3, 2)).coefficient
+
+
 def test_mixed_bases_are_checked_in_one_place():
     # the strategy, the count walker and the chain share one check
     for call in (
@@ -505,6 +514,9 @@ def test_empirical_validation():
         empirical_coefficient_stats((3, 2), 10, (1, 100), 0)
     with pytest.raises(ValueError):
         empirical_slope_stats((3, 2), 2, (10.0, 20.0), 0)
+    for empty in ((20.0, 20.0), (20.0, 10.0), (0.5, 10.0)):
+        with pytest.raises(ValueError, match="need 1 <= lo < hi exponents"):
+            empirical_slope_stats((3, 2), 10, empty, 0)
 
 
 def test_slope_over_a_single_length_names_the_exponent_range():

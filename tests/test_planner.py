@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 import sys
@@ -22,6 +23,7 @@ from geomseries.slp import (
     DensePoly,
     ProgramBuilder,
     eval_poly_oracle,
+    evaluate_mod,
     mul_count,
     passes_oracle,
 )
@@ -88,6 +90,10 @@ def test_strategy_parsing():
         Strategy("mixed", bases=(3, 3))
     with pytest.raises(ValueError):
         Strategy("prime_power", base=1)
+    with pytest.raises(ValueError, match="unknown strategy kind 'bogus'"):
+        Strategy("bogus")
+    with pytest.raises(ValueError, match="at least one base"):
+        Strategy("mixed", bases=())
 
 
 # -- prime powers ----------------------------------------------------------------
@@ -205,6 +211,13 @@ def test_mixed_rejects_bad_inputs():
         plan(0, "mixed")
     with pytest.raises(ValueError):
         plan(10, Strategy("mixed", bases=(2, 2)))
+    for n in (2047, 4095):  # residue 1023, the longest prefix a level builds
+        assert passes_oracle(plan(n, "mixed:1024").program)
+    for spelling in ("mixed:1025", "mixed:100000,3"):
+        with pytest.raises(ValueError, match="mixed bases are capped at 1024"):
+            plan(10, spelling)
+    with pytest.raises(ValueError, match="mixed bases are capped at 1024"):
+        CostModel().mixed_table((1025, 2))
 
 
 def test_mixed_fuzz_over_unusual_base_sets():
@@ -376,14 +389,38 @@ def test_direct_plan_is_baseline():
         plan(2**16 + 1, "direct")
 
 
-def test_too_many_reduction_levels_is_a_value_error():
-    # the walker recurses once per level, so the longest length that plans
-    # depends on the caller's stack depth: 2**240 does from the command line
+def test_long_lengths_plan_whatever_the_level_count():
+    # the walker and the parity chain are loops, so no length outruns the stack
     assert plan(2**200, "binary").muls == 398
+    assert plan(2**251, "binary").muls == 500
     assert plan(2**300, "prime:2").muls == 598
-    for n, spelling in ((2**251, "binary"), (2**401, "prime:2")):
-        with pytest.raises(ValueError, match=f"length {n} needs too many reduction levels"):
-            plan(n, spelling)
+    assert plan(2**1000, "binary").muls == 1998
+    assert plan(2**401, "prime:2").muls == 800
+    big = 2**1500 + 1  # its own chain is 1500 parity-rule halvings
+    assert plan(big, f"prime:{big}").muls == 2998
+
+
+def _at_depth(depth: int, call):
+    return call() if depth == 0 else _at_depth(depth - 1, call)
+
+
+def test_planning_deep_in_the_stack():
+    # an emitter that recursed once per reduction level would raise
+    # RecursionError here: plan runs with 60 frames left below the limit
+    depth = sys.getrecursionlimit() - len(inspect.stack()) - 60
+    p, x = 2**61 - 1, 3
+    for n, spelling, muls in ((2**1000, "binary", 1998), (2**401, "prime:2", 800)):
+        rep = _at_depth(depth, lambda: plan(n, spelling, CostModel()))
+        assert rep.muls == muls
+        assert evaluate_mod(rep.program, x, p) == (pow(x, n, p) - 1) * pow(x - 1, -1, p) % p
+
+
+def test_auto_length_cap():
+    for n in (2**48 + 1, 2**100):
+        with pytest.raises(ValueError, match="auto plans are capped at length 281474976710656"):
+            plan(n, "auto")
+    with pytest.raises(ValueError, match="use mixed:11,7,5,3,2 or binary"):
+        AutoPlanner().plan(2**64)
 
 
 # -- predictions ----------------------------------------------------------------

@@ -100,6 +100,8 @@ def test_evaluate_mod_matches_closed_form():
         assert evaluate_mod(prog, 2, p) == (pow(2, 677, p) - 1) % p
         inv2 = pow(2, p - 2, p)
         assert evaluate_mod(prog, 3, p) == (pow(3, 677, p) - 1) * inv2 % p
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        evaluate_mod(prog, 2, 1)
 
 
 # -- symbolic oracle ----------------------------------------------------------
@@ -380,6 +382,31 @@ def test_builder_rejects_out_of_range_operand():
     b = ProgramBuilder()
     with pytest.raises(ProgramError):
         b.add(0, 7)
+    with pytest.raises(ProgramError, match="add_many needs at least one register"):
+        b.add_many([])
+
+
+def test_validation_rejects_leaf_with_operand():
+    # from_json never reads operands of a leaf, so only a direct build can
+    instrs = (Instr(INPUT), Instr(ONE, 0, None))
+    with pytest.raises(ProgramError, match="instr 1: ONE takes no operands"):
+        SlpProgram(instrs, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "instrs, length, said",
+    [
+        ([], 1, "empty program"),
+        ([{"op": "INPUT"}, {"op": "POW"}], 1, "instr 1: unknown op 'POW'"),
+        ([{"op": "INPUT"}, {"op": "ADD", "a": 0, "b": None}], 1, "instr 1: ADD needs two operands"),
+        ([{"op": "INPUT"}], 0, "series_length must be positive"),
+    ],
+    ids=["empty", "unknown-op", "missing-operand", "length-0"],
+)
+def test_json_documents_are_validated(instrs, length, said):
+    doc = {"version": 1, "series_length": length, "output": 0, "instrs": instrs}
+    with pytest.raises(ProgramError, match=said):
+        from_json(json.dumps(doc))
 
 
 # -- serialization ------------------------------------------------------------
