@@ -12,9 +12,9 @@ step.  Terminal lengths with a built-in chain are emitted directly, which
 is where the constant -2 in all the closed-form counts comes from: the
 last level needs neither a next power nor a join.
 
-Every plan is composed in one way: each strategy but ``direct`` is a
-decision rule, which names at each length a built-in chain, a recurrence
-chain, a factor split or a reduction level, and one walker,
+Every plan is composed in one way: each strategy is a decision rule,
+which names at each length a built-in chain, a recurrence chain, a factor
+split, a reduction level or a nested (Horner) step, and one walker,
 ``_emit_decided``, follows that rule onto one ProgramBuilder through the
 chain emitters of ``chains``.  ``plan`` alone finishes the program and
 builds its PlanReport.  The walker is a loop down the quotients: a
@@ -24,8 +24,8 @@ each one's ``_join`` around the inner series is emitted in reverse once
 the leaf is built, so no length is limited by the Python stack.  Every
 trace lists the decisions in emission order, (n, k, 0) for a split and
 (n, P, r) for a level.  The multiplication counts the planners compare
-are read off scratch emissions of those same emitters, so no count is
-kept by hand.
+are read off emissions of those same emitters, directly or through the
+binary policy's table, so no count is kept by hand.
 
 Three caps keep every answer bounded: ``direct`` plans up to length
 2**16, ``auto`` plans up to 2**48 (its dynamic program visits every
@@ -198,9 +198,8 @@ def _join(b: ProgramBuilder, factor: int, prefix: list[int], inner: int) -> int:
 
 # Entries one _Memo keeps, about 11 MiB of factor splits.  The memos live
 # on the process-wide default model, so they must not grow with every
-# length ever planned.  An ascending sweep from 1 keeps the lengths up to
-# 2**16, which holds every proper divisor of a length up to 2**17, so
-# such a sweep plans each length once.
+# length ever planned.  A full memo starts over, so an ascending sweep past
+# 2**16 computes again the small divisors it still reads.
 MEMO_CAP = 2**16
 
 
@@ -209,12 +208,14 @@ class _Memo(dict):
 
     The keys are lengths or residues (factor splits, mixed levels and
     tails), (base, residue) pairs (level costs) or bases tuples (mixed
-    tables), and every memo holds at most MEMO_CAP of them: once full it
-    stops storing and computes every further miss afresh, so the keys it
-    keeps are the first ones filled; in an ascending sweep, the small
-    divisors every later length reuses.  Threads that race past the cap
-    may each store one more entry.  Every value is a pure function of its
-    key, so threads that fill the same key agree.
+    tables), and every memo holds at most MEMO_CAP of them: a miss on a
+    full memo empties it before storing, so a call that visits fewer than
+    MEMO_CAP states computes each of them once, however full the memo was
+    when it began.  A single call that visits more states than the cap
+    still computes some of them again (``auto`` at 2**36 visits 4,218
+    states; the most found below its length cap is 47,926).  Threads that
+    race past the cap may each store one more entry.  Every value is a
+    pure function of its key, so threads that fill the same key agree.
     """
 
     def __init__(self, fill: Callable[[Hashable], object]) -> None:
@@ -223,8 +224,9 @@ class _Memo(dict):
 
     def __missing__(self, key: Hashable):
         got = self.fill(key)
-        if len(self) < MEMO_CAP:
-            self[key] = got
+        if len(self) >= MEMO_CAP:
+            self.clear()
+        self[key] = got
         return got
 
 
@@ -271,8 +273,13 @@ class CostModel:
         hand-tuned chain exists) and the recurrence chain of that size.  A
         split k * (n / k) spends both halves, a power and a join.  The level
         is the (base, r != 0) that ``mixed:11,7,5,3,2`` picks at n; it spends
-        cost(base, r) and the quotient's plan.  Leaves and a level of
-        quotient 1 are counted off scratch emissions; ties keep that order.
+        cost(base, r) and the quotient's plan.  Ties keep that order.
+
+        The chain is counted as the binary plan, ``mixed_table((2,))``:
+        the parity rule spends 2 per halving as cost(2, 0) = cost(2, 1) = 2
+        does, down to the same terminals, and ``plan`` checks the promised
+        count against the built program.  The recurrence chain and a level
+        of quotient 1 are counted off scratch emissions.
 
         By induction D(n) = splits[n][0] is never worse than the mixed plan
         G: D(n) <= cost(base, r) + D(q) <= cost(base, r) + G(q) = G(n), where
@@ -280,12 +287,12 @@ class CostModel:
         D(p) <= chain(p)), the recurrence power y**e (split at y, recurrence
         leaf) or a plan of splits and leaves alone.
         """
-        chain = _emitted_muls(lambda b, x: emit_series_chain(b, x, n))
+        chain = self.mixed_table((2,)).count(n)
         candidates: list[tuple[int, int, tuple]] = [(chain, 0, ("chain",))]
-        for level in range(1, MAX_RECURRENCE_LEVEL + 1):
-            if RECURRENCE_SIZES[level] == n:
-                muls = _emitted_muls(lambda b, x: emit_recurrence(b, x, level))
-                candidates.append((muls, 1, ("recurrence", level)))
+        if n in RECURRENCE_SIZES[1:]:
+            level = RECURRENCE_SIZES.index(n)
+            muls = _emitted_muls(lambda b, x: emit_recurrence(b, x, level))
+            candidates.append((muls, 1, ("recurrence", level)))
         for k in range(2, math.isqrt(n) + 1):
             if n % k == 0:
                 left, _ = self.splits[k]
@@ -382,19 +389,11 @@ class MixedTable:
 # longer direct plans are refused rather than built.
 _MAX_DIRECT_LENGTH = 2**16
 # auto's dynamic program visits every divisor and level quotient of the
-# length: cold, 2**48 takes about 17 s over 38,992 states, and the states
-# keep growing past it, so longer auto plans are refused as well.
+# length: cold, 2**48 takes 12-17 s over 38,992 states, but a highly
+# composite length below it takes longer (260858031033600: 47,926 states,
+# 60-77 s on 2 cores), and the states keep growing past it, so longer auto
+# plans are refused as well.
 _MAX_AUTO_LENGTH = 2**48
-
-
-def _emit_horner(b: ProgramBuilder, x: int, n: int) -> int:
-    """Nested evaluation 1 + x(1 + x(...)), n - 2 multiplications for n >= 2."""
-    if n == 1:
-        return b.one()
-    acc = b.add(b.one(), x)
-    for _ in range(n - 2):
-        acc = b.add(b.one(), b.mul(x, acc))
-    return acc
 
 
 def _recurrence_power(n: int) -> tuple[int, int]:
@@ -432,12 +431,13 @@ def _emit_decided(
     """f(n, x) built from the decisions ``decide(m)`` names at each length m.
 
     A decision is ("chain",), ("recurrence", k), ("split", k), traced as
-    (m, k, 0), or the reduction level ("level", base, r), traced as
+    (m, k, 0), the nested step ("horner",), f(m, x) = 1 + x * f(m - 1, x),
+    not traced, or the reduction level ("level", base, r), traced as
     (m, base, r); the trace lists them in emission order.  One loop walks
-    down the quotients, each split or level emitting its part before the
-    inner series, and the joins are emitted in reverse once the leaf is
-    built; only a split's left factor f(k, x), k <= sqrt(m), is walked by
-    a nested call.
+    down the lengths, each split, step or level emitting its part before
+    the inner series, and the joins are emitted in reverse once the leaf
+    is built; only a split's left factor f(k, x), k <= sqrt(m), is walked
+    by a nested call.
     """
     joins: list[tuple[int, list[int]]] = []
     value = None
@@ -453,6 +453,9 @@ def _emit_decided(
             left = _emit_decided(b, x, k, decide, trace)
             joins.append((left, []))
             x, n = _split_power(b, x, left), n // k
+        elif decision[0] == "horner":
+            joins.append((x, [b.one()]))
+            n -= 1
         else:
             _, base, residue = decision
             trace.append((n, base, residue))
@@ -486,9 +489,9 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     """Build a plan for length n under the given strategy.
 
     The one function that finishes a program and builds a PlanReport:
-    every strategy but ``direct`` is a decision rule that ``_emit_decided``
-    follows onto one ProgramBuilder, and ``auto``'s program is checked
-    against the count its dynamic program promised.  ``direct`` above
+    every strategy is a decision rule that ``_emit_decided`` follows onto
+    one ProgramBuilder, and ``auto``'s program is checked against the
+    count its dynamic program promised.  ``direct`` above
     _MAX_DIRECT_LENGTH and ``auto`` above _MAX_AUTO_LENGTH raise
     ValueError; the other strategies take any length they apply to.
     """
@@ -505,30 +508,28 @@ def plan(n: int, strategy: Strategy | str = "auto", model: CostModel | None = No
     if kind == "direct":
         if n > _MAX_DIRECT_LENGTH:
             raise ValueError(f"direct plans are capped at length {_MAX_DIRECT_LENGTH}, got {n}")
-        value = _emit_horner(b, x, n)
+        decide = lambda m: ("chain",) if m <= 2 else ("horner",)
+    elif kind in ("binary", "ternary", "mixed"):
+        bases = {"binary": (2,), "ternary": (3,)}.get(kind, strategy.bases)
+        decide = lambda m: _mixed_level(m, bases, model)
+    elif kind == "prime_power":
+        base = strategy.base
+        if _exact_log(n, base) is None:
+            raise ValueError(f"{n} is not a power of {base}")
+        decide = lambda m: ("chain",) if m <= base else ("split", base)
+    elif kind == "recurrence":
+        level, exponent = _recurrence_power(n)
+        y = RECURRENCE_SIZES[level]
+        decide = lambda m: ("recurrence", level) if m <= y else ("split", y)
+        method = f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else "")
     else:
-        if kind in ("binary", "ternary", "mixed"):
-            bases = {"binary": (2,), "ternary": (3,)}.get(kind, strategy.bases)
-            decide = lambda m: _mixed_level(m, bases, model)
-        elif kind == "prime_power":
-            base = strategy.base
-            if _exact_log(n, base) is None:
-                raise ValueError(f"{n} is not a power of {base}")
-            decide = lambda m: ("chain",) if m <= base else ("split", base)
-        elif kind == "recurrence":
-            level, exponent = _recurrence_power(n)
-            y = RECURRENCE_SIZES[level]
-            decide = lambda m: ("recurrence", level) if m <= y else ("split", y)
-            method = f"recurrence:{level}" + (f"^{exponent}" if exponent > 1 else "")
-        else:
-            if n > _MAX_AUTO_LENGTH:
-                raise ValueError(
-                    f"auto plans are capped at length {_MAX_AUTO_LENGTH}, got {n}; "
-                    "use mixed:11,7,5,3,2 or binary"
-                )
-            decide, method = (lambda m: model.splits[m][1]), "factor"
-        value = _emit_decided(b, x, n, decide, trace)
-    program = b.finish(value, n)
+        if n > _MAX_AUTO_LENGTH:
+            raise ValueError(
+                f"auto plans are capped at length {_MAX_AUTO_LENGTH}, got {n}; "
+                "use mixed:11,7,5,3,2 or binary"
+            )
+        decide, method = (lambda m: model.splits[m][1]), "factor"
+    program = b.finish(_emit_decided(b, x, n, decide, trace), n)
     if kind == "auto" and program.declared_muls != model.splits[n][0]:
         raise AssertionError(
             f"planner count mismatch for n={n}: expected {model.splits[n][0]}, "

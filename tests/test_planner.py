@@ -337,15 +337,30 @@ def test_factor_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr("geomseries.planner.MEMO_CAP", 16)
     model = CostModel()
     got = []
-    first_kept = None
     for n in lengths:
         got.append(plan_digest(plan(n, "auto", model).program))
         assert len(model.splits) <= 16
-        if first_kept is None and len(model.splits) == 16:
-            first_kept = dict(model.splits)
-    assert first_kept is not None  # the sweep went past the cap
-    assert model.splits == first_kept  # later lengths evict nothing
     assert got == expected
+
+
+def test_a_full_memo_computes_each_state_of_a_call_once(monkeypatch):
+    # the memo is full before the call, and the call's 4,218 states fit
+    # under the cap, so each of them is filled once
+    monkeypatch.setattr("geomseries.planner.MEMO_CAP", 5000)
+    model = CostModel()
+    for n in range(1, 5001):
+        model.splits[n]
+    assert len(model.splits) == 5000
+    fill, calls = model.splits.fill, []
+
+    def counted(n):
+        calls.append(n)
+        assert len(calls) <= 4218, "a state of plan(2**36) was computed twice"
+        return fill(n)
+
+    model.splits.fill = counted
+    assert plan(2**36, "auto", model).muls == 61
+    assert len(model.splits) <= 5000
 
 
 def test_auto_checks_the_count_its_choice_promised():
@@ -376,6 +391,12 @@ def test_every_strategy_rejects_non_positive_lengths(n):
     for spelling in ("auto", "direct", "binary", "ternary", "mixed", "prime:2", "recurrence"):
         with pytest.raises(ValueError, match="series length must be >= 1"):
             plan(n, spelling)
+
+
+def test_dynamic_program_counts_the_parity_chain_as_the_binary_plan():
+    table = CostModel().mixed_table((2,))
+    for n in [*range(1, 20000), 2**40 + 12345, 2**47 - 1, 3**30]:
+        assert table.count(n) == chain_muls(n), n
 
 
 def test_direct_plan_is_baseline():
@@ -477,9 +498,18 @@ def test_predicted_cost_errors():
 # PINNED_TRACES is sha256 over one "n label method reduction_trace" line for
 # the plans of PINNED_PLANS, the prime:4 and prime:13 powers up to 4096 and
 # mixed:13,5,2 at 13 and 169, where a base without a chain meets quotient 1.
+# PINNED_DIRECT is sha256 over one "n muls method predicted plan_sha256
+# reduction_trace" line per direct plan for n <= 512, 4095, 4096 and 2**16,
+# computed while direct had an emitter of its own (1..4096 in full was also
+# byte-identical; it takes about a minute, so the test samples it).
+# PINNED_SPLITS is sha256 of repr([splits[n] for n in 1..2**14]) on a new
+# CostModel, computed while the dynamic program re-emitted the parity chain
+# at every length to count it.
 PINNED_PLANS = "77347a235d64e7ef47f57fdf8944442c2819f3f23ca07ee0323997ea4425a05e"
 PINNED_AUTO_PLANS = "6167d945842802513c52dd9002a4db15bdf0260b7e6da3f29d36c7bd284630a1"
 PINNED_TRACES = "c619a67fcb4175cc3e7005299f9cffcffcd22daf1e48854c41ce2195a65f5322"
+PINNED_DIRECT = "2ad6288060d3e86b2f923f5711ac7a3d8693029a19b036b5827c3fc7cb455281"
+PINNED_SPLITS = "ee9c0bf86c230d737af440595291c01766d6c742c439b793a93e5570cf2d121d"
 
 
 def _pinned_plan_reports():
@@ -523,3 +553,18 @@ def test_traces_are_pinned():
     for n, label, rep in reports:
         digest.update(f"{n} {label} {rep.method} {rep.reduction_trace}\n".encode())
     assert digest.hexdigest() == PINNED_TRACES
+
+
+def test_direct_plans_are_pinned():
+    digest = hashlib.sha256()
+    for n in [*range(1, 513), 4095, 4096, 2**16]:
+        rep = plan(n, "direct")
+        line = f"{n} {rep.muls} {rep.method} {rep.predicted!r} {plan_digest(rep.program)}"
+        digest.update(f"{line} {rep.reduction_trace}\n".encode())
+    assert digest.hexdigest() == PINNED_DIRECT
+
+
+def test_dynamic_program_splits_are_pinned():
+    model = CostModel()
+    splits = repr([model.splits[n] for n in range(1, 2**14 + 1)])
+    assert hashlib.sha256(splits.encode()).hexdigest() == PINNED_SPLITS
