@@ -24,6 +24,11 @@ width taken from the bound rules alone).  Every output coefficient is
 then below 2^(w-2) in magnitude, so its balanced digits are the
 coefficients, and comparing P(2^w) with the packed all-ones vector is a
 proof of equality.
+
+Every evaluator here, the oracle's walk, :func:`evaluate` and the matrix
+engine in ``linalg``, drops a register's value right after its last read,
+taking the last reads from one helper, so it holds only live values: the
+oracle's peak at 2^20 digits is about four packed outputs.
 """
 
 from __future__ import annotations
@@ -190,22 +195,28 @@ def evaluate(program: SlpProgram, x, one=None):
 
     Returns the output register's value.  Exactly ``declared_muls`` ring
     multiplications are performed; the identity is never multiplied in
-    implicitly.  Pure function of (program, x): safe to call concurrently.
+    implicitly.  Each register's value is dropped right after its last
+    read, so only the live registers' values are held.  Pure function of
+    (program, x): safe to call concurrently.
     """
     if one is None:
         one = _ring_one(x)
+    _, last = _lengths_and_last_reads(program)
     regs: list = [None] * len(program.instrs)
-    for i, ins in enumerate(program.instrs):
-        if ins.op == ADD:
-            regs[i] = regs[ins.a] + regs[ins.b]
-        elif ins.op == MUL:
-            regs[i] = regs[ins.a] * regs[ins.b]
-        elif ins.op == SUB:
-            regs[i] = regs[ins.a] - regs[ins.b]
-        elif ins.op == INPUT:
-            regs[i] = x
+    for i, (op, a, b) in enumerate(program.instrs):
+        if op == ADD:
+            regs[i] = regs[a] + regs[b]
+        elif op == MUL:
+            regs[i] = regs[a] * regs[b]
+        elif op == SUB:
+            regs[i] = regs[a] - regs[b]
         else:
-            regs[i] = one
+            regs[i] = x if op == INPUT else one
+            continue
+        if last[a] == i:
+            regs[a] = None
+        if last[b] == i:
+            regs[b] = None
     return regs[program.output]
 
 
@@ -343,17 +354,28 @@ class OracleFacts(NamedTuple):
     retries: int
 
 
-def _length_bounds(program: SlpProgram) -> list[int]:
-    """Structural degree-plus-one bound per register (always >= the truth)."""
+def _lengths_and_last_reads(program: SlpProgram) -> tuple[list[int], list[int]]:
+    """Per register, a structural degree-plus-one bound and its last read.
+
+    The bound is always >= the truth.  The last read is the index of the
+    last instruction that reads the register, the register's own index
+    when none does, and ``len(instrs)`` for the output, so an evaluator
+    may drop a value at its last read and never drops the output.
+    """
+    instrs = program.instrs
     out: list[int] = []
-    for op, a, b in program.instrs:
+    last = list(range(len(instrs)))
+    for i, (op, a, b) in enumerate(instrs):
         if op == MUL:
             out.append(out[a] + out[b] - 1)
+            last[a] = last[b] = i
         elif op == ADD or op == SUB:
             out.append(out[a] if out[a] > out[b] else out[b])
+            last[a] = last[b] = i
         else:
             out.append(2 if op == INPUT else 1)
-    return out
+    last[program.output] = len(instrs)
+    return out, last
 
 
 def _repeated(digit: int, length: int, bits: int) -> int:
@@ -394,7 +416,11 @@ def _coefficients(v: int, length: int, bits: int) -> list[int]:
 
 
 def _walk(
-    program: SlpProgram, lengths: list[int], bits: int | None, limit: float
+    program: SlpProgram,
+    lengths: list[int],
+    last: list[int],
+    bits: int | None,
+    limit: float,
 ) -> tuple[int, int, int]:
     """Evaluate at x = 2^bits, one signed integer P(2^bits) per register.
 
@@ -413,7 +439,11 @@ def _walk(
     carries an L1 bound l >= sum |coefficient| (ADD and SUB add it, MUL
     multiplies it) and takes min(m, l) as the register's m: the nnz rule
     squares its own slack along a chain of squarings, the L1 rule does
-    not.  Returns (output value, output bound, digit scans).
+    not.  ``lengths`` and ``last`` come from _lengths_and_last_reads: an
+    ADD, SUB or MUL sets each operand it reads for the last time to 0,
+    after any scan of it, so the walk holds only live values and its
+    results, scans and retries are those of a walk that keeps them all.
+    Returns (output value, output bound, digit scans).
     """
     instrs = program.instrs
     vals = [0] * len(instrs) if bits else None
@@ -464,6 +494,11 @@ def _walk(
             if vals is not None:
                 vals[i] = 1 << bits if op == INPUT else 1
             continue
+        if vals is not None:
+            if last[a] == i:
+                vals[a] = 0
+            if last[b] == i:
+                vals[b] = 0
         ms[i] = m
         zs[i] = z if z < lengths[i] else lengths[i]
     out = program.output
@@ -481,7 +516,7 @@ def _oracle(program: SlpProgram) -> tuple[int, int, int, int, int]:
     can exceed that bound, so the walk at that width needs no scans and
     only its output is read.
     """
-    lengths = _length_bounds(program)
+    lengths, last = _lengths_and_last_reads(program)
     out_length = lengths[program.output]
     if out_length > _MAX_ORACLE_LENGTH:
         raise ProgramError(
@@ -491,14 +526,14 @@ def _oracle(program: SlpProgram) -> tuple[int, int, int, int, int]:
     decodes = retries = 0
     for bits in _FAST_DIGIT_DTYPES:
         try:
-            value, _, scans = _walk(program, lengths, bits, 1 << (bits - 2))
+            value, _, scans = _walk(program, lengths, last, bits, 1 << (bits - 2))
             return value, bits, out_length, decodes + scans, retries
         except _DigitOverflow as exc:
             decodes += exc.args[0]
             retries += 1
-    _, bound, _ = _walk(program, lengths, None, 1 << (_MAX_FALLBACK_BITS - 2))
+    _, bound, _ = _walk(program, lengths, last, None, 1 << (_MAX_FALLBACK_BITS - 2))
     bits = (bound.bit_length() + 2 + 7) // 8 * 8
-    value, _, _ = _walk(program, lengths, bits, math.inf)
+    value, _, _ = _walk(program, lengths, last, bits, math.inf)
     return value, bits, out_length, decodes, retries
 
 

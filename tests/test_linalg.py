@@ -51,6 +51,18 @@ def test_spectral_radius_of_generated_matrices_below_one():
         assert est.value <= 0.9 + 1e-8
 
 
+def test_precheck_of_overflowing_entries_warns_nothing():
+    # the power iteration's norm overflows; the estimate is inf, with no warning
+    a = np.full((2, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_radius_estimate(np.eye(2) - a).value == math.inf
+        with pytest.raises(ConvergenceError):
+            neumann_invert(a, 26)
+        _, rep = neumann_invert(a, 26, allow_divergent=True)
+    assert rep.spectral_radius_est == math.inf and rep.residual_fro == math.inf
+
+
 # -- residual ---------------------------------------------------------------------
 
 
@@ -325,6 +337,46 @@ def test_invert_memory_stays_within_the_engine_buffers(terms):
     # slack: two n^2-byte bool masks, the temporaries of _as_square's finiteness
     # checks; at the engine's peak only small objects sit beside its buffers
     assert peak <= rep.matrix_buffers * 8 * n * n + 2 * n * n
+
+
+class _LiveValue:
+    """Ring element counting the values ring operations made that are alive."""
+
+    live = most = 0
+
+    def __init__(self, made: bool = False) -> None:
+        self.made = made
+        if made:
+            _LiveValue.live += 1
+            _LiveValue.most = max(_LiveValue.most, _LiveValue.live)
+
+    def __del__(self) -> None:
+        if self.made:
+            _LiveValue.live -= 1
+
+    def __add__(self, other):
+        return _LiveValue(made=True)
+
+    __sub__ = __mul__ = __add__
+
+    def ring_one(self):
+        return _LiveValue()
+
+
+@pytest.mark.parametrize(
+    "terms,strategy", [(26, "auto"), (4096, "binary"), (4096, "auto"), (677, "direct")]
+)
+def test_generic_evaluation_holds_no_more_values_than_the_engine(terms, strategy):
+    # x and the identity are held throughout, as the engine holds B and a
+    # scalar; the one value more is a result made while both operands live,
+    # where the engine writes into the operand that dies
+    prog = plan(terms, strategy).program
+    _LiveValue.live = _LiveValue.most = 0
+    out = slp.evaluate(prog, _LiveValue())
+    assert _LiveValue.live == 1
+    del out
+    assert _LiveValue.live == 0
+    assert 1 <= _LiveValue.most <= evaluate(prog, np.eye(2))[2] + 1
 
 
 # -- bench -------------------------------------------------------------------------

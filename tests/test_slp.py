@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -271,6 +273,51 @@ def test_oracle_facts_count_abandoned_widths():
         assert facts.retries == 4 or facts.bits == (8, 16, 32, 64)[facts.retries]
         retried += facts.retries > 0
     assert retried > 0
+
+
+# sha256 over one "name passes bits decodes retries" line per program,
+# computed before the walk dropped dead registers: dropping values must not
+# move a single digit scan, width or retry.  PINNED_ORACLE_FACTS covers
+# auto, binary, ternary and mixed:11,7,5,3,2 over 1..1024 and the two flawed
+# fixtures; PINNED_RANDOM_ORACLE_FACTS the 3000 random programs of seed 6,
+# which reach every width and retry.
+PINNED_ORACLE_FACTS = "26eb70d7f9cd436f79e7ec669ae3ce770aefac5f269b5d2cc7be033fec54ea81"
+PINNED_RANDOM_ORACLE_FACTS = "0d9004eb86be8de47cc9d41d32d88572b158ebeac60ecb5a7848d3f2bfb31d33"
+
+
+def _facts_digest(named_programs) -> str:
+    digest = hashlib.sha256()
+    for name, prog in named_programs:
+        f = oracle_facts(prog)
+        digest.update(f"{name} {f.passes} {f.bits} {f.decodes} {f.retries}\n".encode())
+    return digest.hexdigest()
+
+
+def test_oracle_facts_are_pinned():
+    programs = [
+        (f"{label} {n}", plan(n, label).program)
+        for label in ("auto", "binary", "ternary", "mixed:11,7,5,3,2")
+        for n in range(1, 1025)
+    ]
+    programs.append(("flawed 11", chains.flawed_length11_chain()))
+    programs.append(("flawed 26", chains.flawed_length26_chain()))
+    assert _facts_digest(programs) == PINNED_ORACLE_FACTS
+    rng = random.Random(6)
+    randoms = ((str(i), _random_program(rng)) for i in range(3000))
+    assert _facts_digest(randoms) == PINNED_RANDOM_ORACLE_FACTS
+
+
+def test_oracle_memory_stays_within_a_few_packed_outputs():
+    # the walk drops each value after its last read; keeping every
+    # register's value peaked at 15.6 times the packed output here
+    prog = plan(2**20, "auto").program
+    tracemalloc.start()
+    try:
+        assert oracle_facts(prog).passes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20  # the packed output has 2^20 8-bit digits
 
 
 def _packed(coeffs: list[int]) -> int:
