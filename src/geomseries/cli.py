@@ -291,18 +291,18 @@ def cmd_invert(args) -> int:
         "matrix_buffers": rep.matrix_buffers,
         "wall_time_s": rep.wall_time,
         "residual_fro": rep.residual_fro,
-        "spectral_radius_est": rep.spectral_radius_est,
-        "spectral_radius_converged": rep.spectral_radius_converged,
-        "spectral_radius_iterations": rep.spectral_radius_iterations,
+        "radius_lower_bound": rep.radius_lower_bound,
+        "norm_below_one": rep.norm_below_one,
+        "forward_error_bound": rep.forward_error_bound,
         "plan_sha256": rep.plan_sha256,
         "output": args.out,
     }
+    forward = "null" if rep.forward_error_bound is None else f"{rep.forward_error_bound:.3e}"
     text = _dump_json(doc) if args.format == "json" else (
         f"n={rep.n} terms={rep.terms} strategy={rep.strategy} "
         f"matrix_muls={rep.matrix_muls} matrix_buffers={rep.matrix_buffers} "
-        f"residual={rep.residual_fro:.3e} rho={rep.spectral_radius_est:.4f} "
-        f"rho_converged={rep.spectral_radius_converged} "
-        f"rho_iterations={rep.spectral_radius_iterations} "
+        f"residual={rep.residual_fro:.3e} radius_lower_bound={rep.radius_lower_bound:.4f} "
+        f"norm_below_one={rep.norm_below_one} forward_error_bound={forward} "
         f"plan_sha256={rep.plan_sha256}\n"
     )
     _write(text, args.report)

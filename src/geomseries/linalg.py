@@ -7,17 +7,11 @@ radius of B is below one.  Any oracle-verified plan computes exactly the
 same polynomial as the nested baseline, so both paths agree to rounding
 while the fast path spends fewer matrix-matrix multiplications.
 
-Plans run on one in-place engine, :func:`evaluate`.  It takes each
-register's last read from the same helper as the exact oracle and the
-generic evaluator, so its n x n buffer returns to a free list right after
-it; products go into a free buffer, sums and differences
-into an operand that dies there.  The input matrix is consumed like any
-other register, so pass a copy to keep it.  The identity is kept as a
-scalar, so ``1 + X`` is an O(n) update of X's diagonal.  The engine holds
-at most one buffer per register live at once, and its output equals the
-generic evaluation with ``np.eye`` and ``@`` entry for entry.  It counts
-the products it runs, so inversion and benchmark report executed counts,
-and direct and fast paths share the same matmul kernel.
+Plans run on one in-place engine, :func:`evaluate`, which holds at most
+one n x n buffer per live register, keeps the identity as a scalar and
+counts the products it runs.  An O(n^2) precheck rejects only a B that
+provably diverges; the answer is certified by its own residual, which
+also bounds its forward error.
 """
 
 from __future__ import annotations
@@ -43,14 +37,15 @@ _BINARY_VERSION = 1
 
 
 class ConvergenceError(ValueError):
-    """The series does not converge: the precheck estimated a spectral
-    radius of I - A >= 1, or the result is non-finite or no closer to the
+    """The series does not converge: the precheck proved that I - A has
+    spectral radius >= 1, or the result is non-finite or no closer to the
     inverse than the zero matrix."""
 
 
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
-    """Power-iteration estimate; ``converged`` False flags low confidence."""
+    """``value`` <= rho(B); ``converged`` when a norm of B below one proves
+    the series converges.  Nothing is iterated: ``iterations`` is 0."""
 
     value: float
     converged: bool
@@ -62,7 +57,8 @@ class NeumannReport:
     """Record of one inversion run.
 
     ``matrix_buffers`` is the most n x n matrices the engine held at once,
-    B = I - A and the result included.
+    B = I - A and the result included.  ``forward_error_bound`` bounds
+    ||A^-1 - X||_F, and is None when the residual cannot certify X.
     """
 
     n: int
@@ -71,9 +67,9 @@ class NeumannReport:
     matrix_muls: int
     wall_time: float
     residual_fro: float
-    spectral_radius_est: float
-    spectral_radius_converged: bool
-    spectral_radius_iterations: int
+    radius_lower_bound: float
+    norm_below_one: bool
+    forward_error_bound: float | None
     plan_sha256: str
     matrix_buffers: int
 
@@ -106,55 +102,68 @@ class BenchCell:
     fast_plan_sha256: str
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, finite: bool = True) -> np.ndarray:
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
+    if finite and not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
 
-def spectral_radius_estimate(
-    b, max_iters: int = 200, tol: float = 1e-9
-) -> SpectralRadiusEstimate:
-    """Power iteration from the normalized all-ones vector.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the error of k roundings."""
+    return k / (2.0**53 - k)
 
-    Deterministic, and an estimate only: non-convergence within max_iters
-    returns the best estimate with ``converged=False`` rather than
-    raising.  It is not reliable even on the symmetric matrices this
-    package generates: on I - ``random_test_matrix(1000, 1)`` it runs all
-    200 iterations and returns 0.8975 with ``converged=False``.  What
-    certifies an inversion is the residual gate of :func:`neumann_invert`.
-    Entries large enough to overflow give an infinite estimate without a
-    numpy warning.
+
+def spectral_radius_estimate(b) -> SpectralRadiusEstimate:
+    """Rigorous O(n^2) facts about the spectral radius of B; no iteration.
+
+    ``value`` is max(|tr B| / n, sqrt(|tr B^2| / n)) less an allowance for
+    the rounding of both sums (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.5), so ``value >= 1`` proves rho(B) >= 1;
+    a bound beyond the float range is infinite.  ``converged`` is True only
+    when ||B||_inf < 1 or ||B||_1 < 1 with the same kind of allowance.
+    Neither proves anything otherwise: B = 0.85 I - 0.35 [[0, 1], [1, 0]]
+    has radius 1.2 but gets a bound of 0.919 and no convergence.
     """
-    m = _as_square(b)
+    m = _as_square(b, finite=False)
     n = m.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    est = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            w = m @ v
-            norm = float(np.linalg.norm(w))
-            if norm == 0.0:
-                return SpectralRadiusEstimate(0.0, True, it)
-            if abs(norm - est) <= tol * max(norm, 1.0):
-                return SpectralRadiusEstimate(norm, True, it)
-            est = norm
-            v = w / norm
-    return SpectralRadiusEstimate(est, False, max_iters)
+    top = max(float(m.max()), -float(m.min()))
+    if not top < math.inf:
+        raise ValueError("matrix has non-finite entries")
+    # ||B||_inf < 1 needs row 0's sum below one and ||B||_1 < 1 column 0's;
+    # both need every entry below one, and then no sum overflows
+    norm = math.inf
+    if top < 1 and min(np.abs(m[0]).sum(), np.abs(m[:, 0]).sum()) < 1:
+        mag = np.abs(m)
+        norm = min(mag.sum(1).max(), mag.sum(0).max())
+    # a power of two maps the entries into [-1, 1] exactly, so no sum
+    # overflows; an entry it makes subnormal loses less than ``tiny``
+    s = 2.0 ** -math.frexp(top)[1] if top > 1 else 1.0
+    c = m * s if s != 1.0 else m
+    d, tiny = c.diagonal(), np.finfo(float).tiny
+    t1 = abs(d.sum()) - _gamma(n + 2) * np.abs(d).sum() - n * tiny
+    t2 = abs(np.einsum("ij,ji->", c, c)) - _gamma(2 * n * n + 4) * np.vdot(c, c) - n * n * tiny
+    low = max(0.0, t1 / n, math.sqrt(max(t2, 0.0) / n))
+    # 1 - gamma_6 covers the five roundings after the allowances; / s is exact or inf
+    value = float(low) * (1 - _gamma(6)) / s
+    return SpectralRadiusEstimate(value, bool(norm < 1 - _gamma(n + 2)), 0)
+
+
+def _residual(m: np.ndarray, h: np.ndarray) -> float:
+    """||I - m h||_F with one n x n temporary; inf when it is not finite."""
+    r = m @ h
+    _shift_diagonal(r, -1.0)  # A A_hat - I has the same norm
+    return min(math.inf, float(np.linalg.norm(r, "fro")))  # a NaN norm reads inf
 
 
 def residual(a, a_hat) -> float:
     """Frobenius norm of I - A * A_hat, with one n x n temporary."""
-    m = _as_square(a)
-    h = _as_square(a_hat)
+    m, h = _as_square(a), _as_square(a_hat)
     if m.shape != h.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {h.shape}")
-    r = m @ h
-    _shift_diagonal(r, -1.0)  # A A_hat - I has the same norm
-    return float(np.linalg.norm(r, "fro"))
+    return _residual(m, h)
 
 
 def random_test_matrix(n: int, seed: int) -> np.ndarray:
@@ -275,11 +284,13 @@ def neumann_invert(
     The plan is ``plan(terms, strategy)``, and the report's ``strategy`` is
     that plan's method.  Executes exactly the plan's number of
     matrix-matrix multiplications (counted by the engine, and checked).
-    Raises ConvergenceError unless ``allow_divergent`` when I - A has
-    estimated spectral radius >= 1, or when the result is non-finite or
-    its residual ||I - A X||_F = ||B^terms||_F is at least sqrt(n) =
-    ||I||_F, that is no better than X = 0.  A non-finite result that is
-    let through reports an infinite residual.
+    Unless ``allow_divergent``, raises ConvergenceError before evaluating
+    when the precheck proves that I - A has spectral radius >= 1, and after
+    it when the result is non-finite or its residual ||I - A X||_F =
+    ||B^terms||_F is at least sqrt(n) = ||I||_F, that is no better than
+    X = 0.  A non-finite result that is let through reports an infinite
+    residual.  The answer certifies itself: with r an upper bound on the
+    true ||I - A X||_F, ||A^-1 - X||_F <= ||X||_F r / (1 - r) when r < 1.
     """
     m = _as_square(a)
     report = build_plan(terms, strategy)
@@ -289,18 +300,20 @@ def neumann_invert(
     rho = spectral_radius_estimate(b)
     if rho.value >= 1.0 and not allow_divergent:
         raise ConvergenceError(
-            f"estimated spectral radius of I - A is {rho.value:.6g} >= 1; "
-            "the series will not converge (pass allow_divergent to override)"
+            f"spectral radius of I - A is at least {rho.value:.6g} >= 1; "
+            "the series diverges (pass allow_divergent to override)"
         )
     # a divergent series may overflow; the residual gate below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         start = time.perf_counter()
         a_hat, products, buffers = evaluate(plan, b)  # b is not read again
         wall = time.perf_counter() - start
-        try:
-            res = residual(m, a_hat)
-        except ValueError:  # a non-finite result; the shapes match by construction
-            res = math.inf
+        res = _residual(m, a_hat)
+        # the true ||R||_F: the computed one plus the product's rounding, gamma_n
+        # ||A||_F ||X||_F (Higham 2002, section 3.5), g covering the norms' own
+        x_norm, g = float(np.linalg.norm(a_hat)), _gamma(2 * n * n + 16)
+        r = (res + _gamma(n + 2) * float(np.linalg.norm(m)) * x_norm) * (1 + g)
+        forward = x_norm * r / (1 - r) * (1 + g) if r < 1 else None
     if products != plan.declared_muls:
         raise AssertionError(
             f"executed {products} matrix multiplications, plan declared "
@@ -309,9 +322,7 @@ def neumann_invert(
     if not res < math.sqrt(n) and not allow_divergent:
         raise ConvergenceError(
             f"residual ||I - A X||_F = {res:.6g} is not below sqrt(n) = "
-            f"{math.sqrt(n):.6g}: the series diverged although the estimated "
-            f"spectral radius of I - A is {rho.value:.6g} "
-            "(pass allow_divergent to override)"
+            f"{math.sqrt(n):.6g}: the series diverged (pass allow_divergent to override)"
         )
     rep = NeumannReport(
         n=n,
@@ -320,9 +331,9 @@ def neumann_invert(
         matrix_muls=products,
         wall_time=wall,
         residual_fro=res,
-        spectral_radius_est=rho.value,
-        spectral_radius_converged=rho.converged,
-        spectral_radius_iterations=rho.iterations,
+        radius_lower_bound=rho.value,
+        norm_below_one=rho.converged,
+        forward_error_bound=forward,
         plan_sha256=plan_digest(plan),
         matrix_buffers=buffers,
     )

@@ -217,7 +217,8 @@ def test_invert_divergent_exit_code(tmp_path, capsys):
     assert code == 1
     code, out = run(capsys, "invert", src, "--terms", "5", "--allow-divergent")
     assert code == 0
-    assert json.loads(out)["spectral_radius_est"] >= 1.0
+    doc = json.loads(out)
+    assert doc["radius_lower_bound"] >= 1.0 and doc["forward_error_bound"] is None
 
 
 def test_invert_json_reports_what_ran(tmp_path, capsys):
@@ -227,17 +228,21 @@ def test_invert_json_reports_what_ran(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["plan_sha256"] == linalg.plan_digest(plan(26, "auto").program)
-    assert doc["spectral_radius_converged"] is True
-    assert doc["spectral_radius_iterations"] >= 1
+    assert doc["radius_lower_bound"] <= 0.9  # the generator's radius bound
+    assert doc["norm_below_one"] is False  # ||B||_1 and ||B||_inf are above 1 here
+    assert 0.0 < doc["forward_error_bound"] < 1.0
     assert doc["matrix_buffers"] >= 1
     code, out = run(capsys, "invert", src, "--terms", "26", "--format", "text")
     assert code == 0
-    for key in ("matrix_buffers=", "rho_converged=True", "rho_iterations=", "plan_sha256="):
+    for key in (
+        "matrix_buffers=", "radius_lower_bound=", "norm_below_one=False",
+        "forward_error_bound=", "plan_sha256=",
+    ):
         assert key in out
 
 
 def test_invert_exit_code_when_the_precheck_is_fooled(tmp_path, capsys):
-    # spectral radius 1.2, but power iteration from all-ones sees 0.5
+    # spectral radius 1.2, which neither its traces nor its norms prove
     src = str(tmp_path / "fooled.csv")
     linalg.save_matrix_csv(src, np.array([[0.15, 0.35], [0.35, 0.15]]))
     code, _ = run(capsys, "invert", src, "--terms", "200")

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,15 +34,50 @@ def test_spectral_radius_zero_matrix():
     assert est.value == 0.0 and est.converged
 
 
-def test_spectral_radius_diagonal():
+def test_precheck_proves_convergence_only_by_a_norm_below_one():
     est = spectral_radius_estimate(np.diag([0.9, 0.1]))
-    assert est.value == pytest.approx(0.9, abs=1e-6)
-    assert est.converged
+    assert est.converged and est.iterations == 0
+    assert est.value <= 0.9
+    # ||B||_inf = 1.5 but ||B||_1 = 0.9: either norm is a proof
+    assert spectral_radius_estimate(np.array([[0.0, 0.9], [0.0, 0.6]])).converged
+    # radius 0.5, but both norms are 1.1: nothing is proved
+    est = spectral_radius_estimate(np.array([[0.5, 0.6], [0.0, 0.5]]))
+    assert not est.converged and est.value <= 0.5
+    est = spectral_radius_estimate(np.diag([1.0, 0.999]))
+    assert not est.converged and est.value < 1.0
 
 
-def test_spectral_radius_flags_non_convergence():
-    est = spectral_radius_estimate(np.diag([1.0, 0.999]), max_iters=3, tol=1e-15)
-    assert not est.converged
+def test_precheck_proves_divergence_by_traces():
+    assert spectral_radius_estimate(np.array([[-2.0]])).value == pytest.approx(2.0)
+    # |tr B| / n is 0 and |tr B^2| / n is 4
+    assert spectral_radius_estimate(np.array([[0.0, 2.0], [2.0, 0.0]])).value == pytest.approx(2.0)
+    # a radius of exactly 1 is within the rounding allowance, so it is not proved
+    assert 1.0 - 1e-14 < spectral_radius_estimate(np.eye(3)).value < 1.0
+    # nilpotent: the traces are 0 whatever the entries, and nothing is proved
+    est = spectral_radius_estimate(np.array([[0.0, 1e300], [0.0, 0.0]]))
+    assert est.value == 0.0 and not est.converged
+
+
+def test_precheck_bound_beyond_the_float_range_is_infinite():
+    # radius 3e308, and sqrt(|tr B^2| / n) = 2.1e308 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_radius_estimate(np.full((2, 2), -1.5e308)).value == math.inf
+
+
+def test_precheck_does_not_take_an_overflow_for_convergence():
+    # radius 2e200: a bound that overflows must not read as convergence
+    b = np.full((2, 2), 1e200)
+    est = spectral_radius_estimate(b)
+    assert not est.converged and est.value == pytest.approx(math.sqrt(2) * 1e200)
+
+    def not_reached(*args):
+        raise AssertionError("evaluated a series the precheck proves divergent")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "evaluate", not_reached)
+        with pytest.raises(ConvergenceError, match=r"at least 1\.41421e\+200"):
+            neumann_invert(np.eye(2) - b, 26)
 
 
 def test_spectral_radius_of_generated_matrices_below_one():
@@ -52,15 +88,100 @@ def test_spectral_radius_of_generated_matrices_below_one():
 
 
 def test_precheck_of_overflowing_entries_warns_nothing():
-    # the power iteration's norm overflows; the estimate is inf, with no warning
+    # B = I - A is about -1e308 everywhere, radius 2e308; the bound
+    # sqrt(|tr B^2| / 2) is computed on B scaled by a power of two
     a = np.full((2, 2), 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert spectral_radius_estimate(np.eye(2) - a).value == math.inf
+        assert spectral_radius_estimate(np.eye(2) - a).value == pytest.approx(math.sqrt(2) * 1e308)
         with pytest.raises(ConvergenceError):
             neumann_invert(a, 26)
         _, rep = neumann_invert(a, 26, allow_divergent=True)
-    assert rep.spectral_radius_est == math.inf and rep.residual_fro == math.inf
+    assert rep.radius_lower_bound == pytest.approx(math.sqrt(2) * 1e308)
+    assert rep.residual_fro == math.inf and rep.forward_error_bound is None
+
+
+def test_neumann_invert_calls_the_precheck_once_through_the_module(monkeypatch):
+    # The benchmark's traced invert run wraps linalg.spectral_radius_estimate
+    # and reads ``converged`` and ``iterations`` from each result.  This test
+    # goes with ROADMAP item 2's deletion of the precheck, after item 1a.
+    calls = []
+    precheck = linalg.spectral_radius_estimate
+
+    def counted(b):
+        calls.append(precheck(b))
+        return calls[-1]
+
+    monkeypatch.setattr(linalg, "spectral_radius_estimate", counted)
+    neumann_invert(random_test_matrix(8, seed=1), 26)
+    assert len(calls) == 1
+    assert isinstance(calls[0].converged, bool) and calls[0].iterations == 0
+
+
+def _exact_inverse(a):
+    """A^-1 in Fractions by Gauss-Jordan elimination; None when A is singular."""
+    n = len(a)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a.tolist())
+    ]
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def _sweep_matrices(rng):
+    """B = I - A for four kinds of small A, each kind at several sizes."""
+    for n in range(1, 7):
+        for radius in (0.3, 0.9, 0.999, 1.05, 2.0):  # scaled random, divergent last
+            b = rng.standard_normal((n, n))
+            yield "random", b * (radius / max(abs(np.linalg.eigvals(b))))
+        for diag in (0.5, 0.95, 1.2):  # non-normal: large entries above the diagonal
+            b = np.triu(30.0 * rng.standard_normal((n, n)), 1)
+            yield "triangular", b + np.diag(rng.uniform(-diag, diag, n))
+        for small in (1e-3, 1e-9, 0.0):  # near-singular A, and a singular one
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            s = np.linspace(1.0, 0.5, n)
+            s[-1] = small
+            yield "near-singular", np.eye(n) - (u * s) @ v.T
+
+
+def test_precheck_and_forward_error_bound_hold_on_a_seeded_sweep():
+    outcomes = {"raised": 0, "certified": 0, "uncertified": 0}
+    for kind, b in _sweep_matrices(np.random.default_rng(2027)):
+        rho = max(abs(np.linalg.eigvals(b)))
+        est = spectral_radius_estimate(b)
+        assert est.value <= rho, (kind, b)
+        assert rho < 1 or not est.converged, (kind, b)
+        a = np.eye(len(b)) - b
+        inverse = _exact_inverse(a)
+        for terms in (5, 26, 200):
+            try:
+                x, rep = neumann_invert(a, terms)
+            except ConvergenceError:
+                outcomes["raised"] += 1
+                continue
+            if rep.forward_error_bound is None:
+                outcomes["uncertified"] += 1
+                continue
+            outcomes["certified"] += 1
+            assert inverse is not None  # r < 1 proves A invertible
+            error = sum(
+                (want - Fraction(got)) ** 2
+                for want_row, got_row in zip(inverse, x.tolist())
+                for want, got in zip(want_row, got_row)
+            )
+            assert error <= Fraction(rep.forward_error_bound) ** 2, (kind, terms, b)
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 # -- residual ---------------------------------------------------------------------
@@ -80,7 +201,9 @@ def test_residual_dimension_mismatch():
         residual(np.eye(3), np.eye(4))
 
 
-@pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.full((2, 2), np.inf), np.ones((2, 3))])
+@pytest.mark.parametrize(
+    "bad", [np.full((2, 2), np.nan), np.full((2, 2), np.inf), np.ones((2, 3)), np.zeros((0, 0))]
+)
 def test_public_checks_reject_bad_matrices(bad):
     with pytest.raises(ValueError):
         spectral_radius_estimate(bad)
@@ -130,7 +253,7 @@ def test_invert_identity_gives_identity():
     a_hat, rep = neumann_invert(np.eye(6), 5, strategy="auto")
     assert np.array_equal(a_hat, np.eye(6))
     assert rep.residual_fro == 0.0
-    assert rep.spectral_radius_est == 0.0
+    assert rep.radius_lower_bound == 0.0 and rep.norm_below_one
 
 
 def test_invert_scalar_matches_series_sum():
@@ -177,18 +300,19 @@ def test_invert_rejects_divergent_unless_overridden():
         neumann_invert(hot, 5)
     a_hat, rep = neumann_invert(hot, 5, allow_divergent=True)
     assert a_hat[0, 0] == brute_series(5, -2.0)
-    assert rep.spectral_radius_est >= 1.0
+    assert rep.radius_lower_bound >= 1.0 and rep.forward_error_bound is None
 
 
-# B = 0.85 I - 0.35 [[0, 1], [1, 0]] has spectral radius 1.2, but the all-ones
-# start vector is its 0.5-eigenvector, so the precheck passes it
+# B = 0.85 I - 0.35 [[0, 1], [1, 0]] has spectral radius 1.2, but its traces
+# bound it only by 0.919 and its norms are 1.2, so the precheck proves nothing
 _FOOLED_B = 0.85 * np.eye(2) - 0.35 * np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize("terms,overflows", [(200, False), (5000, True)])
 def test_invert_rejects_a_result_no_better_than_zero(terms, overflows):
     a = np.eye(2) - _FOOLED_B
-    assert spectral_radius_estimate(_FOOLED_B).value == pytest.approx(0.5)
+    est = spectral_radius_estimate(_FOOLED_B)
+    assert est.value == pytest.approx(math.sqrt(0.845)) and not est.converged
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflow is the residual gate's to report
         with pytest.raises(ConvergenceError):
@@ -201,11 +325,12 @@ def test_invert_rejects_a_result_no_better_than_zero(terms, overflows):
 def test_invert_report_says_what_ran():
     report = plan(26, "auto")
     prog = report.program
-    _, rep = neumann_invert(random_test_matrix(12, seed=3), 26)
+    a = random_test_matrix(12, seed=3)
+    a_hat, rep = neumann_invert(a, 26)
     assert rep.strategy == report.method
     assert rep.plan_sha256 == linalg.plan_digest(prog)
-    assert rep.spectral_radius_converged
-    assert 1 <= rep.spectral_radius_iterations <= 200
+    assert rep.radius_lower_bound <= 0.9  # the generator's radius bound
+    assert np.linalg.norm(np.linalg.inv(a) - a_hat, "fro") <= rep.forward_error_bound
     assert rep.matrix_buffers == evaluate(prog, np.eye(12))[2]
 
 
@@ -214,6 +339,8 @@ def test_invert_validates_inputs():
         neumann_invert(np.ones((2, 3)), 5)
     with pytest.raises(ValueError):
         neumann_invert(np.eye(3) * np.nan, 5)
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        neumann_invert(np.zeros((0, 0)), 5)
 
 
 def test_invert_checks_the_executed_product_count(monkeypatch):
