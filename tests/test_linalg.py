@@ -34,17 +34,26 @@ def test_spectral_radius_zero_matrix():
     assert est.value == 0.0 and est.converged
 
 
-def test_precheck_proves_convergence_only_by_a_norm_below_one():
+def test_spectral_radius_diagonal():
     est = spectral_radius_estimate(np.diag([0.9, 0.1]))
     assert est.converged and est.iterations == 0
+    # the lower bound is sqrt(tr B^2 / n) = sqrt(0.41), below the radius 0.9
+    assert est.value == pytest.approx(math.sqrt(0.41), rel=1e-14)
     assert est.value <= 0.9
+
+
+def test_spectral_radius_flags_non_convergence():
+    # radius 1: no norm is below one, and the bound does not reach one
+    est = spectral_radius_estimate(np.diag([1.0, 0.999]))
+    assert not est.converged and est.value < 1.0
+
+
+def test_precheck_proves_convergence_only_by_a_norm_below_one():
     # ||B||_inf = 1.5 but ||B||_1 = 0.9: either norm is a proof
     assert spectral_radius_estimate(np.array([[0.0, 0.9], [0.0, 0.6]])).converged
     # radius 0.5, but both norms are 1.1: nothing is proved
     est = spectral_radius_estimate(np.array([[0.5, 0.6], [0.0, 0.5]]))
     assert not est.converged and est.value <= 0.5
-    est = spectral_radius_estimate(np.diag([1.0, 0.999]))
-    assert not est.converged and est.value < 1.0
 
 
 def test_precheck_proves_divergence_by_traces():
