@@ -91,9 +91,12 @@ class StationaryResult:
     solver: SolverFacts
 
 
-# The stationary solve builds a dense m x m float64 system: at twice the
-# default 2310 states it takes about 4 s (2 cores), and 30030 states,
-# lcm(13, 11, 7, 5, 3, 2), would need 7.2 GB.
+# The stationary solve builds a dense m x m float64 system and inverts it
+# with one ceil(m/2)^2 scratch.  Cold, on 2 cores, the solve of the 2310
+# states of (11, 7, 5, 3, 2) peaks at 51.8 MiB in 0.65-0.82 s (62.0 MiB in
+# 0.74-0.83 s with a fresh array per block product), and at modulus 4620 at
+# 204.8 MiB in 3.1-3.4 s (245.5 MiB in 3.3-3.7 s).  30030 states,
+# lcm(13, 11, 7, 5, 3, 2), would need 7.2 GB for the system alone.
 _MAX_CHAIN_STATES = 4620
 
 
@@ -294,14 +297,17 @@ def _reconstruct(values, bits: int, scale, states, size: int) -> tuple[list[int]
 _LEAF_ROWS = 128  # blocks this small are inverted by LAPACK, with pivoting
 
 
-def _inverse_in_place(a: np.ndarray) -> np.ndarray:
+def _inverse_in_place(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Overwrite the square float64 ``a`` with its inverse and return it.
 
     Recursive 2 x 2 block elimination without pivoting: with X = A11^-1,
     T = X A12 and S = A22 - A21 T, the inverse is [[X - T W, -T S^-1],
-    [W, S^-1]] for W = -S^-1 A21 X.  Each level is six matrix products
-    and its temporaries hold under one n x n matrix, where LAPACK's
-    inverse is bound by triangular solves and fills a second matrix.
+    [W, S^-1]] for W = -S^-1 A21 X.  Each level is six matrix products;
+    all but the one written into A21 go into a prefix of one scratch of
+    ceil(m/2)^2 floats, which the top call allocates and both recursive
+    calls reuse, and T overwrites A12, whose values are dead once it is
+    formed.  LAPACK's inverse is bound by triangular solves and fills a
+    second matrix.
     Blocks of at most _LEAF_ROWS rows go to np.linalg.inv.  On the
     stationary system this needs no pivoting: every balance column is
     weakly diagonally dominant, every leading block is a proper principal
@@ -313,16 +319,23 @@ def _inverse_in_place(a: np.ndarray) -> np.ndarray:
         a[...] = np.linalg.inv(a)
         return a
     k = m // 2
+    if scratch is None:
+        scratch = np.empty((m - k) ** 2)
+
+    def product(x, y):
+        out = scratch[: x.shape[0] * y.shape[1]].reshape(x.shape[0], y.shape[1])
+        return np.matmul(x, y, out=out)
+
     a11, a12, a21, a22 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
-    _inverse_in_place(a11)
-    t = a11 @ a12
-    a22 -= a21 @ t
-    _inverse_in_place(a22)
-    np.matmul(a22, a21 @ a11, out=a21)
+    _inverse_in_place(a11, scratch)
+    a12[...] = product(a11, a12)
+    t = a12
+    a22 -= product(a21, t)
+    _inverse_in_place(a22, scratch)
+    np.matmul(a22, product(a21, a11), out=a21)
     np.negative(a21, out=a21)
-    a11 -= t @ a21
-    np.matmul(t, a22, out=a12)
-    np.negative(a12, out=a12)
+    a11 -= product(t, a21)
+    np.negative(product(t, a22), out=a12)
     return a
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -343,7 +344,13 @@ def test_poor_float_inverse_raises_instead_of_returning(monkeypatch, bases):
 
 
 def stationary_system(bases):
-    """The float64 system that _refine_solve inverts for the chain of ``bases``."""
+    """The float64 system that _refine_solve inverts for the chain of ``bases``,
+    a fresh copy of one build per chain."""
+    return _stationary_system(bases).copy()
+
+
+@functools.cache
+def _stationary_system(bases):
     chain = build_chain(bases)
     states = list(markov._closed_classes(chain)[0])
     rows, cols, vals, _ = markov._integer_system(chain, states, markov._row_scales(chain))
@@ -396,6 +403,79 @@ def test_refine_solve_holds_one_system_matrix_and_its_temporaries():
         tracemalloc.stop()
     assert len(states) == 770
     assert peak < 1.9 * 8 * 770**2
+
+
+def test_refine_solve_holds_the_system_and_a_quarter_matrix_of_scratch():
+    # 1.33 matrices: the system, the inverse's ceil(m/2)^2 scratch and the
+    # refinement's vectors; a fresh array per block product reads 1.58
+    chain = build_chain((11, 7, 5, 2))
+    states = list(markov._closed_classes(chain)[0])
+    scales = markov._row_scales(chain)
+    tracemalloc.start()
+    try:
+        markov._refine_solve(chain, states, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 770
+    assert peak < 1.4 * 8 * 770**2
+
+
+def reference_block_inverse(a):
+    """The six-product block recursion with a fresh array for T and for
+    each product: _inverse_in_place must match it bit for bit."""
+    m = a.shape[0]
+    if m <= markov._LEAF_ROWS:
+        a[...] = np.linalg.inv(a)
+        return a
+    k = m // 2
+    a11, a12, a21, a22 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
+    reference_block_inverse(a11)
+    t = a11 @ a12
+    a22 -= a21 @ t
+    reference_block_inverse(a22)
+    np.matmul(a22, a21 @ a11, out=a21)
+    np.negative(a21, out=a21)
+    a11 -= t @ a21
+    np.matmul(t, a22, out=a12)
+    np.negative(a12, out=a12)
+    return a
+
+
+# odd seeded sizes split into unequal halves, 771 three levels deep
+BLOCK_SYSTEMS = {
+    "m210": lambda: stationary_system((7, 5, 3, 2)),
+    "m770": lambda: stationary_system((11, 7, 5, 2)),
+    "m2310": lambda: stationary_system((11, 7, 5, 3, 2)),
+    **{f"seeded-m{m}": lambda m=m: seeded_system(m, m) for m in (129, 257, 771)},
+}
+
+
+@functools.cache
+def traced_block_inverse(name):
+    """_inverse_in_place of the named system and its tracemalloc peak above it."""
+    a = BLOCK_SYSTEMS[name]()
+    tracemalloc.start()
+    try:
+        markov._inverse_in_place(a)
+        return a, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SYSTEMS))
+def test_block_inverse_is_bit_identical_to_the_six_product_reference(name):
+    got, _ = traced_block_inverse(name)
+    assert np.array_equal(got, reference_block_inverse(BLOCK_SYSTEMS[name]()))
+
+
+@pytest.mark.parametrize("name", ["seeded-m771", "m2310"])
+def test_block_inverse_needs_one_scratch_of_half_the_rows(name):
+    # the shared scratch, one LAPACK leaf's inverse and its workspace; a
+    # fresh array per product reads about twice the scratch
+    got, peak = traced_block_inverse(name)
+    m = got.shape[0]
+    assert peak <= 8 * ((m - m // 2) ** 2 + 2 * markov._LEAF_ROWS**2) + 64 * 1024
 
 
 def test_step_above_its_promised_residual_raises(monkeypatch):
