@@ -11,7 +11,7 @@ removed per level, the asymptotic coefficient in front of log2(N).
 
 All chain data is exact rational.  The stationary solve returns exact
 rationals too: every closed class, whatever its size, is solved by
-numeric refinement, one float64 inverse whose corrections are checked
+numeric refinement, one float64 factorization whose corrections are checked
 against residuals kept exactly in int64, and a common denominator is
 reconstructed from the dyadic approximation.  The candidate is then
 *verified* as an exact fixed point, in integers over its common
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .planner import CostModel, default_cost_model
+from .planner import CostModel, MixedTable, default_cost_model
 
 
 class CertificationError(ArithmeticError):
@@ -65,7 +65,7 @@ class ResidueChain:
 class SolverFacts:
     """How an exact stationary solve went: the closed-class size, the
     refinement steps taken, the bits of the solution they lifted and the
-    reconstructions tried.  Steps and bits depend on the float inverse, so
+    reconstructions tried.  Steps and bits depend on the float factors, so
     on the BLAS build and its thread count; the distribution never does."""
 
     states: int
@@ -91,12 +91,13 @@ class StationaryResult:
     solver: SolverFacts
 
 
-# The stationary solve builds a dense m x m float64 system and inverts it
-# with one ceil(m/2)^2 scratch.  Cold, on 2 cores, the solve of the 2310
-# states of (11, 7, 5, 3, 2) peaks at 51.8 MiB in 0.65-0.82 s (62.0 MiB in
-# 0.74-0.83 s with a fresh array per block product), and at modulus 4620 at
-# 204.8 MiB in 3.1-3.4 s (245.5 MiB in 3.3-3.7 s).  30030 states,
-# lcm(13, 11, 7, 5, 3, 2), would need 7.2 GB for the system alone.
+# The stationary solve builds a dense m x m float64 system and factors it
+# in place with one ceil(m/2)^2 scratch.  Cold, on 2 cores with OpenBLAS
+# 0.3.31, the solve of the 2310 states of (11, 7, 5, 3, 2) peaks at 51.8 MiB
+# in 0.41-0.59 s, median 0.45 s (0.55-0.72 s, median 0.64 s, with the
+# explicit inverse), and at modulus 4620 at 204.7 MiB in 1.72-2.28 s
+# (204.8 MiB in 2.58-3.28 s).  30030 states, lcm(13, 11, 7, 5, 3, 2),
+# would need 7.2 GB for the system alone.
 _MAX_CHAIN_STATES = 4620
 
 
@@ -119,16 +120,16 @@ def build_chain(
         m = modulus
     if m > _MAX_CHAIN_STATES:
         raise ValueError(f"residue chains are capped at {_MAX_CHAIN_STATES} states, got {m}")
+    probs = {base: Fraction(1, base) for base in table.bases}
     rows = []
     policy = []
     for j in range(m):
         base, cost = table.policy[j % table.modulus]
         policy.append((base, cost))
-        step = m // base
-        d = j // base
-        prob = Fraction(1, base)
-        rows.append(tuple(sorted((s * step + d) % m for s in range(base))))
-        rows[-1] = tuple((t, prob) for t in rows[-1])
+        step, d, prob = m // base, j // base, probs[base]
+        # d = j // base < m / base = step, so the targets s * step + d are
+        # below m and already increasing in s
+        rows.append(tuple((s * step + d, prob) for s in range(base)))
     return ResidueChain(table.bases, m, tuple(rows), tuple(policy))
 
 
@@ -297,12 +298,37 @@ def _reconstruct(values, bits: int, scale, states, size: int) -> tuple[list[int]
 _LEAF_ROWS = 128  # blocks this small are inverted by LAPACK, with pivoting
 
 
+def _product(scratch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y written into a prefix of ``scratch``, reshaped."""
+    out = scratch[: x.shape[0] * y.shape[1]].reshape(x.shape[0], y.shape[1])
+    return np.matmul(x, y, out=out)
+
+
+def _schur_factor(a: np.ndarray, scratch: np.ndarray) -> int:
+    """Overwrite the square float64 ``a``, of more than _LEAF_ROWS rows, with
+    its top-level block factors and return the split k.
+
+    With A11 the leading k x k block, k = m // 2, A11 becomes X = A11^-1,
+    A12 becomes T = X A12 and A22 becomes S^-1 for the Schur complement
+    S = A22 - A21 T; A21 is left as it was.  Both inverses are
+    _inverse_in_place's, and both products go through ``scratch``.
+    """
+    k = a.shape[0] // 2
+    a11, a12, a21, a22 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
+    _inverse_in_place(a11, scratch)
+    a12[...] = _product(scratch, a11, a12)
+    a22 -= _product(scratch, a21, a12)
+    _inverse_in_place(a22, scratch)
+    return k
+
+
 def _inverse_in_place(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Overwrite the square float64 ``a`` with its inverse and return it.
 
     Recursive 2 x 2 block elimination without pivoting: with X = A11^-1,
     T = X A12 and S = A22 - A21 T, the inverse is [[X - T W, -T S^-1],
-    [W, S^-1]] for W = -S^-1 A21 X.  Each level is six matrix products;
+    [W, S^-1]] for W = -S^-1 A21 X.  Each level is six matrix products,
+    two in _schur_factor and four here;
     all but the one written into A21 go into a prefix of one scratch of
     ceil(m/2)^2 floats, which the top call allocates and both recursive
     calls reuse, and T overwrites A12, whose values are dead once it is
@@ -318,25 +344,43 @@ def _inverse_in_place(a: np.ndarray, scratch: np.ndarray | None = None) -> np.nd
     if m <= _LEAF_ROWS:
         a[...] = np.linalg.inv(a)
         return a
-    k = m // 2
     if scratch is None:
-        scratch = np.empty((m - k) ** 2)
-
-    def product(x, y):
-        out = scratch[: x.shape[0] * y.shape[1]].reshape(x.shape[0], y.shape[1])
-        return np.matmul(x, y, out=out)
-
+        scratch = np.empty((m - m // 2) ** 2)
+    k = _schur_factor(a, scratch)
     a11, a12, a21, a22 = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
-    _inverse_in_place(a11, scratch)
-    a12[...] = product(a11, a12)
-    t = a12
-    a22 -= product(a21, t)
-    _inverse_in_place(a22, scratch)
-    np.matmul(a22, product(a21, a11), out=a21)
+    np.matmul(a22, _product(scratch, a21, a11), out=a21)
     np.negative(a21, out=a21)
-    a11 -= product(t, a21)
-    np.negative(product(t, a22), out=a12)
+    a11 -= _product(scratch, a12, a21)
+    np.negative(_product(scratch, a12, a22), out=a12)
     return a
+
+
+def _factored_solver(a: np.ndarray):
+    """A function r -> A^-1 r for the square float64 ``a``, which it overwrites.
+
+    Up to _LEAF_ROWS rows, A is inverted and the function multiplies by the
+    inverse.  Above, A holds the top-level factors of _schur_factor, and
+    z = A^-1 r is z1' = X r1, z2 = S^-1 (r2 - A21 z1'), z1 = z1' - T z2:
+    four half-size matrix-vector products, without the four matrix products
+    that only assemble the explicit inverse.
+    """
+    m = a.shape[0]
+    if m <= _LEAF_ROWS:
+        inv = _inverse_in_place(a)
+        return lambda r: inv @ r
+    k = _schur_factor(a, np.empty((m - m // 2) ** 2))
+    x, t, a21, s_inv = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        r = r.astype(np.float64)
+        z = np.empty(m)
+        z1, z2 = z[:k], z[k:]
+        np.matmul(x, r[:k], out=z1)
+        np.matmul(s_inv, r[k:] - a21 @ z1, out=z2)
+        z1 -= t @ z2
+        return z
+
+    return solve
 
 
 def _refine_solve(
@@ -346,9 +390,9 @@ def _refine_solve(
     refinement on exact integer residuals (Wan, J. Symb. Comput. 41(6), 2006).
 
     Returns the numerators over their common denominator, (nums, den).
-    The float64 system is inverted once, in place, by _inverse_in_place.
-    A step solves for the exact int64 residual r with that inverse,
-    z = inv r, keeps the s bits of z that its own float residual vouches
+    The float64 system is factored once, in place, by _factored_solver.
+    A step solves for the exact int64 residual r with those factors,
+    z = A^-1 r, keeps the s bits of z that its own float residual vouches
     for, and sets r <- 2^s r - A c with c = rint(z 2^s), exactly over the
     COO triples; value <- 2^s value + c keeps A value = 2^bits e_last - r.
     s is capped so that 2^s r and A c stay below 2^62: int64 wraps silently.
@@ -359,7 +403,7 @@ def _refine_solve(
     """
     m = len(states)
     rows, cols, vals, scale = _integer_system(chain, states, scales)
-    inv = _inverse_in_place(np.bincount(rows * m + cols, vals, m * m).reshape(m, m))
+    solve = _factored_solver(np.bincount(rows * m + cols, vals, m * m).reshape(m, m))
     starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
     row_sum = int(np.add.reduceat(np.abs(vals), starts).max())
     r = np.zeros(m, dtype=np.int64)
@@ -368,7 +412,7 @@ def _refine_solve(
     bits = attempts = 0
     next_bits = 0.0
     for step in range(1, _MAX_STEPS + 1):
-        z = inv @ r
+        z = solve(r)
         r_max, z_max = int(np.abs(r).max()), float(np.abs(z).max())
         # the float residual resolves nothing below 2^-53 of its terms, which
         # also keeps s below 53 bits
@@ -412,7 +456,7 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     exactly 1, or whose common denominator is 2^63 or more (the int64
     limit), ReducibleChainError when more than one closed class exists,
     and CertificationError naming the refinement step that failed when the
-    float inverse is too poor to refine.  In a seeded sweep of 20-state
+    float factors are too poor to refine.  In a seeded sweep of 20-state
     chains whose rows each have one common denominator of k bits,
     denominators below 2^56 solved; those from about 2^56 up to 2^63
     raise CertificationError, which names the step (or the step limit).  The
@@ -450,6 +494,34 @@ def stationary(chain: ResidueChain) -> StationaryResult:
 # -- Monte-Carlo cross-check ---------------------------------------------------
 
 
+def _count_all(table: MixedTable, lengths: list[int]) -> list[int]:
+    """``table.count(n)`` of every length n >= 1, one level at a time across
+    all of them: the table is read once into arrays of each residue's base
+    and cost and of the counts below its threshold.  The lengths are int64
+    when all fit, else Python ints in an object array: numpy's own
+    conversion makes [2**63, 5] float64, and lengths in [2**63, 2**64)
+    uint64, which an int64 array cannot floor-divide."""
+    modulus, threshold = table.modulus, table.threshold
+    base, cost = np.array([table.policy[r] for r in range(modulus)], dtype=np.int64).T
+    tails = np.array([0] + [table.tails[n] for n in range(1, threshold)], dtype=np.int64)
+    if max(lengths) < _INT64_LIMIT:
+        n = np.array(lengths, dtype=np.int64)
+    else:
+        n = np.empty(len(lengths), dtype=object)
+        n[:] = lengths
+    total = np.zeros(len(n), dtype=np.int64)
+    live = np.flatnonzero(n >= threshold)
+    while live.size:
+        if n.dtype == object and n[live].max() < _INT64_LIMIT:
+            n = n.astype(np.int64)
+        level = n[live]
+        r = (level % modulus).astype(np.int64)
+        total[live] += cost[r]
+        n[live] = level // base[r]
+        live = live[n[live] >= threshold]
+    return (total + tails[n.astype(np.int64)]).tolist()
+
+
 def empirical_coefficient_stats(
     bases: tuple[int, ...],
     sample_count: int,
@@ -471,12 +543,10 @@ def empirical_coefficient_stats(
         raise ValueError("need at least two samples")
     model = default_cost_model()
     credit = model.terminal_credit
-    count_muls = model.mixed_table(bases).count
     rng = random.Random(seed)
-    vals = []
-    for _ in range(sample_count):
-        n = rng.randint(lo, hi)
-        vals.append((count_muls(n) + credit) / math.log2(n))
+    lengths = [rng.randint(lo, hi) for _ in range(sample_count)]
+    counts = _count_all(model.mixed_table(bases), lengths)
+    vals = [(muls + credit) / math.log2(n) for n, muls in zip(lengths, counts)]
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
     return mean, math.sqrt(var / len(vals))
@@ -492,23 +562,22 @@ def empirical_slope_stats(
 
     Fitting an intercept absorbs the constant finite-size offset of the
     ratio estimator, so the slope is directly comparable to the
-    stationary coefficient at sampling precision.
+    stationary coefficient at sampling precision.  The upper exponent must
+    be below 1024, where 2**hi leaves the float range.
     """
     lo, hi = exponent_range
     if not (1.0 <= lo < hi):
         raise ValueError("need 1 <= lo < hi exponents")
+    if not hi < 1024:
+        raise ValueError(f"need hi < 1024 exponents, got {hi}: 2**hi must be a finite float")
     if sample_count < 3:
         raise ValueError("need at least three samples")
     model = default_cost_model()
     credit = model.terminal_credit
-    count_muls = model.mixed_table(bases).count
     rng = random.Random(seed)
-    xs = []
-    ys = []
-    for _ in range(sample_count):
-        n = max(2, int(2 ** rng.uniform(lo, hi)))
-        xs.append(math.log2(n))
-        ys.append(count_muls(n) + credit)
+    lengths = [max(2, int(2 ** rng.uniform(lo, hi))) for _ in range(sample_count)]
+    xs = [math.log2(n) for n in lengths]
+    ys = [muls + credit for muls in _count_all(model.mixed_table(bases), lengths)]
     count = len(xs)
     mean_x = sum(xs) / count
     mean_y = sum(ys) / count

@@ -469,6 +469,18 @@ def test_block_inverse_is_bit_identical_to_the_six_product_reference(name):
     assert np.array_equal(got, reference_block_inverse(BLOCK_SYSTEMS[name]()))
 
 
+@pytest.mark.parametrize("name", ["m210", "m770", "m2310"])
+def test_factored_solve_matches_the_explicit_inverse(name):
+    a = BLOCK_SYSTEMS[name]()
+    inv = reference_block_inverse(a.copy())
+    solve = markov._factored_solver(a)
+    rng = np.random.default_rng(len(a))
+    for bits in (1, 30, 61):
+        r = rng.integers(-(2**bits), 2**bits, len(a), dtype=np.int64)
+        expected = inv @ r
+        assert np.linalg.norm(solve(r) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("name", ["seeded-m771", "m2310"])
 def test_block_inverse_needs_one_scratch_of_half_the_rows(name):
     # the shared scratch, one LAPACK leaf's inverse and its workspace; a
@@ -529,6 +541,27 @@ def test_chain_policy_is_the_walker_table():
         for n in range(table.threshold, table.threshold + 2 * chain.modulus):
             base, cost = chain.policy[n % chain.modulus]
             assert table.count(n) == cost + table.count((n - n % base) // base)
+
+
+def sorted_chain_rows(bases, modulus=None):
+    """Rows built one Fraction per row, with targets reduced mod m and sorted."""
+    table = default_cost_model().mixed_table(bases)
+    m = modulus or table.modulus
+    rows = []
+    for j in range(m):
+        base, _ = table.policy[j % table.modulus]
+        targets = sorted((s * (m // base) + j // base) % m for s in range(base))
+        rows.append(tuple((t, Fraction(1, base)) for t in targets))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "bases,modulus",
+    [((3, 2), 6), ((3, 2), 12), ((11, 7, 5, 2), None), ((11, 7, 5, 3, 2), 2310), ((11, 7, 5, 3, 2), 4620)],
+)
+def test_chain_rows_need_no_sort(bases, modulus):
+    chain = build_chain(bases, modulus=modulus)
+    assert chain.rows == sorted_chain_rows(bases, modulus)
 
 
 def test_chains_of_equal_bases_are_equal():
@@ -597,9 +630,55 @@ def test_empirical_validation():
     for empty in ((20.0, 20.0), (20.0, 10.0), (0.5, 10.0)):
         with pytest.raises(ValueError, match="need 1 <= lo < hi exponents"):
             empirical_slope_stats((3, 2), 10, empty, 0)
+    # 2**hi must stay a finite float
+    for unbounded in ((1.0, float("inf")), (10.0, 1024.0), (10.0, 2000.0)):
+        with pytest.raises(ValueError, match="need hi < 1024"):
+            empirical_slope_stats((3, 2), 10, unbounded, 0)
+    assert empirical_slope_stats((3, 2), 10, (1000.0, 1023.5), 0)[0] > 0
 
 
 def test_slope_over_a_single_length_names_the_exponent_range():
     # every sample of 2**u for u in [1, 1.5) is N = 2, so no slope exists
     with pytest.raises(ValueError, match=r"exponent range \(1.0, 1.5\)"):
         empirical_slope_stats((3, 2), 10, (1.0, 1.5))
+
+
+COUNT_RANGES = {
+    "below-threshold": lambda t: (1, t - 1),
+    "int64": lambda t: (2, 2**62),
+    "int64-edge": lambda t: (2**63 - 50, 2**63 + 50),
+    "uint64": lambda t: (2**63, 2**64 - 1),
+    "beyond-64-bits": lambda t: (2**64, 2**80),
+}
+
+
+@pytest.mark.parametrize("span", list(COUNT_RANGES))
+@pytest.mark.parametrize("bases", [(11, 7, 5, 3, 2), (3, 2), (2,), (7,)], ids=str)
+def test_batched_count_is_the_table_count(bases, span):
+    table = default_cost_model().mixed_table(bases)
+    rng = random.Random(f"{bases}{span}")
+    lo, hi = COUNT_RANGES[span](table.threshold)
+    lengths = [rng.randint(lo, hi) for _ in range(300)]
+    assert markov._count_all(table, lengths) == [table.count(n) for n in lengths]
+
+
+def test_batched_count_mixes_int64_and_wider_lengths():
+    table = default_cost_model().mixed_table((5, 3, 2))
+    lengths = [2**63, 5, 2**64 + 3, 2**63 - 1, 1]
+    assert markov._count_all(table, lengths) == [table.count(n) for n in lengths]
+
+
+# exact floats of the per-sample count loop, which the batched count must keep
+PINNED_ESTIMATES = [
+    (empirical_slope_stats, ((3, 2), 400, (10.0, 40.0), 1), (1.927609591007011, 0.0023290529368430327)),
+    (empirical_slope_stats, ((11, 7, 5, 3, 2), 400, (20.0, 70.0), 2), (1.7889054183311317, 0.0031637514713863174)),
+    (empirical_slope_stats, ((2,), 300, (1.0, 64.5), 5), (1.9986540008270461, 0.0009581243283715353)),
+    (empirical_coefficient_stats, ((5, 3, 2), 400, (10**3, 10**12), 3), (1.8293049768391827, 0.0012943944896789184)),
+    (empirical_coefficient_stats, ((11, 7, 5, 2), 300, (2**60, 2**70), 4), (1.8021403590727016, 0.0010635456295255631)),
+]
+
+
+@pytest.mark.parametrize("call", PINNED_ESTIMATES, ids=lambda c: f"{c[0].__name__}-{c[1][0]}")
+def test_estimates_are_pinned(call):
+    estimator, args, expected = call
+    assert estimator(*args) == expected
