@@ -9,9 +9,10 @@ gives the long-run probability of each base, hence the expected
 multiplications per level and, after normalizing by the expected bits
 removed per level, the asymptotic coefficient in front of log2(N).
 
-All chain data is exact rational.  The stationary solve returns exact
-rationals too: every closed class, whatever its size, is solved by
-numeric refinement, one float64 factorization whose corrections are checked
+A chain holds its transitions as int64 arrays: each row's targets and
+their numerators over the row's common denominator.  The stationary solve
+returns exact rationals: every closed class, whatever its size, is solved
+by numeric refinement, one float64 factorization whose corrections are checked
 against residuals kept exactly in int64, and a common denominator is
 reconstructed from the dyadic approximation.  The candidate is then
 *verified* as an exact fixed point, in integers over its common
@@ -21,9 +22,10 @@ it was found.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,19 +48,89 @@ class ReducibleChainError(ValueError):
         )
 
 
-@dataclass(frozen=True)
 class ResidueChain:
     """Row-stochastic transition structure over residues mod ``modulus``.
 
-    ``rows[j]`` lists (target, probability) pairs; ``policy[j]`` is the
-    (base, per-level multiplications) the planner's rule picks in
-    residue class j.
+    ``policy[j]`` is the (base, per-level multiplications) the planner's
+    rule picks in residue class j.  The transitions are int64 arrays in CSR
+    layout (ptr, targets, nums, den): edge e of row j, ptr[j] <= e <
+    ptr[j + 1], goes to targets[e] with probability nums[e] / den[j], over
+    the row's common denominator Q_j = den[j].  ``rows[j]``, the (target,
+    Fraction) pairs, is derived on first read.  A chain given by its rows is
+    checked and converted once, on first use by stationary, so constructing
+    one never raises.  Chains are immutable, equal by their fields.
     """
 
-    bases: tuple[int, ...]
-    modulus: int
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
-    policy: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        bases: tuple[int, ...],
+        modulus: int,
+        rows: tuple[tuple[tuple[int, Fraction], ...], ...],
+        policy: tuple[tuple[int, int], ...],
+    ) -> None:
+        vars(self).update(bases=bases, modulus=modulus, rows=rows, policy=policy)
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        ptr, targets, nums, den = (a.tolist() for a in self._csr)
+        frac = functools.cache(Fraction)
+        return tuple(
+            tuple((t, frac(n, q)) for t, n in zip(targets[a:b], nums[a:b]))
+            for a, b, q in zip(ptr, ptr[1:], den)
+        )
+
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, ...]:
+        return _rows_to_csr(self.modulus, self.rows, self.policy)
+
+    def _key(self) -> tuple:
+        return self.bases, self.modulus, self.rows, self.policy
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, ResidueChain) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _rows_to_csr(modulus: int, rows, policy) -> tuple[np.ndarray, ...]:
+    """The CSR arrays of (target, probability) rows, checked row by row: a
+    ValueError names the first row that is missing or extra for the modulus,
+    has a target not an int in [0, modulus) or a probability neither a
+    Fraction nor an int, or is not stochastic in integers over its common
+    denominator Q_j, or has a Q_j of 2^63 or more (the int64 limit)."""
+    if len(rows) != modulus or len(policy) != modulus:
+        raise ValueError(
+            f"row {min(len(rows), len(policy), modulus)} of the chain is missing or extra: "
+            f"{len(rows)} rows and {len(policy)} policy entries for modulus {modulus}"
+        )
+    targets, nums, den = [], [], []
+    for j, row in enumerate(rows):
+        for t, p in row:
+            if not isinstance(t, int) or not 0 <= t < modulus:
+                raise ValueError(f"row {j} of the chain has target {t!r}, not an int in [0, {modulus})")
+            if not isinstance(p, (Fraction, int)):
+                raise ValueError(f"row {j} of the chain has probability {p!r}, not a Fraction or an int")
+        q = math.lcm(*(p.denominator for _, p in row))
+        row_nums = [p.numerator * (q // p.denominator) for _, p in row]
+        if min(row_nums, default=0) <= 0 or sum(row_nums) != q:
+            raise ValueError(
+                f"row {j} of the chain is not stochastic: its probabilities "
+                f"must be positive and sum to 1, got {[str(p) for _, p in row]}"
+            )
+        if q >= _INT64_LIMIT:
+            raise ValueError(
+                f"row {j} of the chain has common denominator {q}, at or above "
+                "the solver's int64 limit 2^63"
+            )
+        targets += (t for t, _ in row)
+        nums += row_nums
+        den.append(q)
+    ptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    return ptr, *(np.array(a, dtype=np.int64) for a in (targets, nums, den))
 
 
 @dataclass(frozen=True)
@@ -93,11 +165,12 @@ class StationaryResult:
 
 # The stationary solve builds a dense m x m float64 system and factors it
 # in place with one ceil(m/2)^2 scratch.  Cold, on 2 cores with OpenBLAS
-# 0.3.31, the solve of the 2310 states of (11, 7, 5, 3, 2) peaks at 51.8 MiB
-# in 0.41-0.59 s, median 0.45 s (0.55-0.72 s, median 0.64 s, with the
-# explicit inverse), and at modulus 4620 at 204.7 MiB in 1.72-2.28 s
-# (204.8 MiB in 2.58-3.28 s).  30030 states, lcm(13, 11, 7, 5, 3, 2),
-# would need 7.2 GB for the system alone.
+# 0.3.31, build_chain and the solve of the 2310 states of (11, 7, 5, 3, 2)
+# peak at 52.1 MiB under tracemalloc and take 0.44-0.55 s, median 0.50 s
+# (0.55-0.72 s, median 0.64 s, with the explicit inverse), and at modulus
+# 4620 peak at 205.5 MiB in 1.79-2.14 s, median 1.98 s (2.58-3.28 s).
+# 30030 states, lcm(13, 11, 7, 5, 3, 2), would need 7.2 GB for the system
+# alone.
 _MAX_CHAIN_STATES = 4620
 
 
@@ -120,73 +193,79 @@ def build_chain(
         m = modulus
     if m > _MAX_CHAIN_STATES:
         raise ValueError(f"residue chains are capped at {_MAX_CHAIN_STATES} states, got {m}")
-    probs = {base: Fraction(1, base) for base in table.bases}
-    rows = []
-    policy = []
-    for j in range(m):
-        base, cost = table.policy[j % table.modulus]
-        policy.append((base, cost))
-        step, d, prob = m // base, j // base, probs[base]
-        # d = j // base < m / base = step, so the targets s * step + d are
-        # below m and already increasing in s
-        rows.append(tuple((s * step + d, prob) for s in range(base)))
-    return ResidueChain(table.bases, m, tuple(rows), tuple(policy))
+    policy = tuple(table.policy[r] for r in range(table.modulus)) * (m // table.modulus)
+    base = np.array([b for b, _ in policy], dtype=np.int64)
+    ptr = np.r_[0, np.cumsum(base)]
+    # the s-th edge of row j goes to s * (m / P_j) + j // P_j with probability
+    # 1 / P_j: the targets are below m and increasing in s, so need no sort
+    row = np.repeat(np.arange(m), base)
+    targets = (np.arange(ptr[-1]) - ptr[row]) * (m // base)[row] + (np.arange(m) // base)[row]
+    chain = object.__new__(ResidueChain)  # holds no rows until they are read
+    csr = ptr, targets, np.ones_like(targets), base
+    vars(chain).update(bases=table.bases, modulus=m, policy=policy, _csr=csr)
+    return chain
 
 
 # -- stationary distribution -------------------------------------------------
 
 
 def _closed_classes(chain: ResidueChain) -> list[tuple[int, ...]]:
-    """Strongly connected classes that no edge leaves, by iterative Tarjan."""
-    succ = [[t for t, _ in row] for row in chain.rows]
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    done: set[int] = set()
-    closed = []
-    for root in range(len(succ)):
-        work = [] if root in index else [(root, iter(succ[root]))]
+    """Strongly connected classes that no edge leaves, by iterative Tarjan
+    over int lists; ``comp[v]`` is the root of v's class once it is done."""
+    ptr, targets = (a.tolist() for a in chain._csr[:2])
+    succ = [targets[a:b] for a, b in zip(ptr, ptr[1:])]
+    n = chain.modulus
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack, closed, count = [], [], 0
+    for root in range(n):
+        work = [] if index[root] >= 0 else [(root, iter(succ[root]))]
         while work:
-            v, targets = work[-1]
-            if v not in index:
-                index[v] = low[v] = len(index)
+            v, edges = work[-1]
+            if index[v] < 0:
+                index[v] = low[v] = count
+                count += 1
                 stack.append(v)
-            for w in targets:
-                if w not in index:
+            for w in edges:
+                if index[w] < 0:
                     work.append((w, iter(succ[w])))
                     break
-                if w not in done:
-                    low[v] = min(low[v], index[w])
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    comp = set()
-                    while stack and index[stack[-1]] >= index[v]:
-                        comp.add(stack.pop())
-                    done |= comp
-                    if all(t in comp for u in comp for t in succ[u]):
-                        closed.append(tuple(sorted(comp)))
+                    k = stack.index(v)
+                    members, stack[k:] = stack[k:], []
+                    for u in members:
+                        comp[u] = v
+                    if all(comp[t] == v for u in members for t in succ[u]):
+                        closed.append(tuple(sorted(members)))
     return closed
 
 
-def _verify_fixed_point(chain: ResidueChain, scales: list[int], nums: list[int], den: int) -> bool:
+def _verify_fixed_point(chain: ResidueChain, scales: np.ndarray, nums: list[int], den: int) -> bool:
     """Whether nums / den is an exact stationary distribution of ``chain``.
 
     Checked in integers: the numerators are >= 0 and sum to den > 0, and with
     Lq = lcm(scales), the row denominators from _row_scales, the flow into
-    every t, sum_j nums_j * (p_jt * Lq), equals nums_t * Lq.
+    every t, sum_j nums_j * (p_jt * Lq), equals nums_t * Lq: Python ints in
+    object arrays, summed over the edges sorted by target.
     """
     if len(nums) != chain.modulus or den <= 0 or any(v < 0 for v in nums) or sum(nums) != den:
         return False
-    lq = math.lcm(*scales)
-    flow = [0] * chain.modulus
-    for v, row in zip(nums, chain.rows):
-        if v:
-            for t, p in row:
-                flow[t] += v * (p.numerator * (lq // p.denominator))
-    return flow == [v * lq for v in nums]
+    ptr, targets, weights, _ = chain._csr
+    lq = math.lcm(*set(scales.tolist()))
+    v = np.array(nums, dtype=object)
+    by_target = np.argsort(targets)
+    into = targets[by_target]
+    starts = np.flatnonzero(np.r_[True, into[1:] != into[:-1]])
+    row_flow = v * (lq // np.asarray(scales, dtype=object))
+    edge_flow = np.repeat(row_flow, np.diff(ptr)) * weights.astype(object)
+    flow = np.zeros(chain.modulus, dtype=object)
+    flow[into[starts]] = np.add.reduceat(edge_flow[by_target], starts)
+    return bool((flow == v * lq).all())
 
 
 # A refinement step keeps _SAFETY_BITS of the float residual's precision
@@ -199,53 +278,38 @@ _MAX_STEPS = 1024
 _CHECKPOINT_GROWTH = 1.25  # reconstruct each time the lifted bits grow by this factor
 
 
-def _row_scales(chain: ResidueChain) -> list[int]:
-    """Common denominator Q_j of each row's probabilities, after checking in
-    integers that the row is stochastic: every numerator over Q_j positive,
-    and the numerators summing to exactly Q_j.  The integer system holds
-    each Q_j in int64, so a Q_j of 2^63 or more is refused here."""
-    scales = []
-    for j, row in enumerate(chain.rows):
-        q = math.lcm(*(p.denominator for _, p in row))
-        nums = [p.numerator * (q // p.denominator) for _, p in row]
-        if min(nums, default=0) <= 0 or sum(nums) != q:
-            raise ValueError(
-                f"row {j} of the chain is not stochastic: its probabilities "
-                f"must be positive and sum to 1, got {[str(p) for _, p in row]}"
-            )
-        if q >= _INT64_LIMIT:
-            raise ValueError(
-                f"row {j} of the chain has common denominator {q}, at or above "
-                "the solver's int64 limit 2^63"
-            )
-        scales.append(q)
-    return scales
+def _row_scales(chain: ResidueChain) -> np.ndarray:
+    """Common denominator Q_j of each row's probabilities, int64; a chain
+    given by rows is checked to be stochastic when its arrays are made."""
+    return chain._csr[3]
 
 
 def _integer_system(
-    chain: ResidueChain, states: list[int], scales: list[int]
+    chain: ResidueChain, states: list[int], scales: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Integer form of the stationary system after column scaling.
 
     With Q_j = scales[j], the common denominator of row j's probabilities
     (the base P_j of a residue chain), and y_j = pi_j / Q_j, balance row t
-    gets Q_j q for each edge j -> t of probability q and -Q_t on the
-    diagonal; the last row is the normalization sum(Q_j y_j) = 1.
-    Returns int64 COO triples sorted by row, and the Q_j of ``states``.
+    gets Q_j q, the stored numerator, for each edge j -> t of probability q
+    and -Q_t on the diagonal; the last row is the normalization
+    sum(Q_j y_j) = 1.  Returns int64 COO triples sorted by row, the edges
+    in the order of ``states`` and of each row, and the Q_j of ``states``.
     """
+    ptr, targets, nums, _ = chain._csr
+    states = np.asarray(states, dtype=np.int64)
     m = len(states)
-    pos = {s: i for i, s in enumerate(states)}
-    scale = [scales[s] for s in states]
-    edges = [
-        (pos[t], j, q.numerator * (scale[j] // q.denominator))
-        for j, s in enumerate(states)
-        for t, q in chain.rows[s]
-    ]
-    edges = np.array([e for e in edges if e[0] < m - 1], dtype=np.int64).reshape(-1, 3)
-    scale, diag = np.array(scale, dtype=np.int64), np.arange(m)
-    rows = np.concatenate([edges[:, 0], diag[:-1], np.full(m, m - 1)])
-    cols = np.concatenate([edges[:, 1], diag[:-1], diag])
-    vals = np.concatenate([edges[:, 2], -scale[:-1], scale])
+    pos = np.zeros(chain.modulus, dtype=np.int64)
+    pos[states] = np.arange(m)
+    count = ptr[states + 1] - ptr[states]
+    cols = np.repeat(np.arange(m), count)
+    edges = np.arange(len(cols)) + np.repeat(ptr[states] - (np.cumsum(count) - count), count)
+    rows = pos[targets[edges]]
+    keep = rows < m - 1
+    scale, diag = np.asarray(scales, dtype=np.int64)[states], np.arange(m)
+    rows = np.concatenate([rows[keep], diag[:-1], np.full(m, m - 1)])
+    cols = np.concatenate([cols[keep], diag[:-1], diag])
+    vals = np.concatenate([nums[edges][keep], -scale[:-1], scale])
     order = np.argsort(rows, kind="stable")
     return rows[order], cols[order], vals[order], scale
 
@@ -384,7 +448,7 @@ def _factored_solver(a: np.ndarray):
 
 
 def _refine_solve(
-    chain: ResidueChain, states: list[int], scales: list[int]
+    chain: ResidueChain, states: list[int], scales: np.ndarray
 ) -> tuple[list[int], int, SolverFacts]:
     """Exact stationary distribution, zero off ``states``, by numeric
     refinement on exact integer residuals (Wan, J. Symb. Comput. 41(6), 2006).
@@ -436,7 +500,7 @@ def _refine_solve(
                 f"stationary refinement step {step}: exact residual {new_max} "
                 f"exceeds the bound {(r_max + row_sum) / 2} that {s} bits promise"
             )
-        value = value * (1 << s) + c.astype(object)
+        value = (value << s) + c.astype(object)
         bits += s
         if bits < next_bits and step < _MAX_STEPS:
             continue
@@ -452,9 +516,9 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     """Exact stationary distribution and the asymptotic cost coefficient.
 
     Transient residues get probability zero.  Raises ValueError naming
-    the first row whose probabilities are not positive or do not sum to
-    exactly 1, or whose common denominator is 2^63 or more (the int64
-    limit), ReducibleChainError when more than one closed class exists,
+    the first row that is malformed (see _rows_to_csr), whose probabilities
+    are not positive or do not sum to exactly 1, or whose common
+    denominator is 2^63 or more (the int64 limit), ReducibleChainError when more than one closed class exists,
     and CertificationError naming the refinement step that failed when the
     float factors are too poor to refine.  In a seeded sweep of 20-state
     chains whose rows each have one common denominator of k bits,

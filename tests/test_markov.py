@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -530,6 +531,26 @@ def test_integer_certificate_accepts_only_exact_fixed_points():
     assert not markov._verify_fixed_point(chain, scales, [0] * 6, 0)
 
 
+def test_integer_certificate_at_770_states():
+    chain = build_chain((11, 7, 5, 2))
+    scales = markov._row_scales(chain)
+    nums, den, _ = markov._refine_solve(chain, list(markov._closed_classes(chain)[0]), scales)
+    assert len(nums) == 770
+    assert markov._verify_fixed_point(chain, scales, nums, den)
+    assert markov._verify_fixed_point(chain, scales, [2 * v for v in nums], 2 * den)
+    i, k = [j for j, v in enumerate(nums) if v][:2]
+    # one unit moved between two states: sums to 1, but not a fixed point
+    moved = list(nums)
+    moved[i] -= 1
+    moved[k] += 1
+    assert not markov._verify_fixed_point(chain, scales, moved, den)
+    negative = list(nums)
+    negative[i], negative[k] = -1, nums[k] + nums[i] + 1
+    assert sum(negative) == den
+    assert not markov._verify_fixed_point(chain, scales, negative, den)
+    assert not markov._verify_fixed_point(chain, scales, [*nums, 0], den)
+
+
 def test_chain_policy_is_the_walker_table():
     # a level above the table's threshold costs exactly the chain's policy
     # entry for its residue class, so chain and count cannot disagree
@@ -566,6 +587,91 @@ def test_chain_rows_need_no_sort(bases, modulus):
 
 def test_chains_of_equal_bases_are_equal():
     assert build_chain((5, 3, 2)) == build_chain((5, 3, 2), CostModel())
+
+
+def test_chains_hash_alike_and_stay_frozen():
+    chain = build_chain((5, 3, 2))
+    assert hash(chain) == hash(build_chain((5, 3, 2), CostModel()))
+    given = ResidueChain(chain.bases, chain.modulus, chain.rows, chain.policy)
+    assert given == chain and len({chain, given}) == 1
+    assert chain != build_chain((5, 3, 2), modulus=60)
+    with pytest.raises(FrozenInstanceError):
+        chain.modulus = 60
+
+
+def reference_integer_system(chain, states):
+    """The COO triples built from the Fraction rows, one lcm per row and one
+    tuple per edge: _integer_system must match them bit for bit."""
+    m = len(states)
+    pos = {s: i for i, s in enumerate(states)}
+    scale = [math.lcm(*(p.denominator for _, p in chain.rows[s])) for s in states]
+    edges = [
+        (pos[t], j, q.numerator * (scale[j] // q.denominator))
+        for j, s in enumerate(states)
+        for t, q in chain.rows[s]
+    ]
+    edges = np.array([e for e in edges if e[0] < m - 1], dtype=np.int64).reshape(-1, 3)
+    scale, diag = np.array(scale, dtype=np.int64), np.arange(m)
+    rows = np.concatenate([edges[:, 0], diag[:-1], np.full(m, m - 1)])
+    cols = np.concatenate([edges[:, 1], diag[:-1], diag])
+    vals = np.concatenate([edges[:, 2], -scale[:-1], scale])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], vals[order], scale
+
+
+@pytest.mark.parametrize(
+    "bases,modulus", [((3, 2), 6), ((3, 2), 12), ((11, 7, 5, 2), None), ((11, 7, 5, 3, 2), 2310)]
+)
+def test_integer_system_is_the_fraction_rows_bit_for_bit(bases, modulus):
+    chain = build_chain(bases, modulus=modulus)
+    states = list(markov._closed_classes(chain)[0])
+    reference = ResidueChain(chain.bases, chain.modulus, sorted_chain_rows(bases, modulus), chain.policy)
+    expected = reference_integer_system(reference, states)
+    given = ResidueChain(chain.bases, chain.modulus, chain.rows, chain.policy)
+    for c in (chain, reference, given):
+        got = markov._integer_system(c, states, markov._row_scales(c))
+        assert [a.dtype for a in got] == [a.dtype for a in expected]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert markov._closed_classes(given) == markov._closed_classes(chain)
+    assert stationary(given) == stationary(chain)
+
+
+def test_build_chain_allocates_its_arrays_and_little_more():
+    build_chain((11, 7, 5, 3, 2), modulus=4620)  # fills the level table
+    tracemalloc.start()
+    try:
+        chain = build_chain((11, 7, 5, 3, 2), modulus=4620)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    edges = len(chain._csr[1])
+    # the CSR arrays, the policy tuple and two edge arrays of temporaries;
+    # a (target, Fraction) pair per edge alone would add 64 bytes an edge
+    assert peak <= sum(a.nbytes for a in chain._csr) + 8 * 4620 + 2 * 8 * edges + 16 * 1024
+
+
+def two_state_chain(rows, policy=((2, 2), (2, 2))):
+    return ResidueChain((2,), 2, rows, policy)
+
+
+HALVES = ((0, F(1, 2)), (1, F(1, 2)))
+MALFORMED_CHAINS = {
+    "negative-target": ((((0, F(1, 2)), (-1, F(1, 2))), ((0, F(1)),)), r"row 0 .*target -1"),
+    "target-at-modulus": ((((0, F(1, 2)), (2, F(1, 2))), ((0, F(1)),)), r"row 0 .*target 2"),
+    "float-probability": ((HALVES, ((0, 0.25), (1, F(3, 4)))), r"row 1 .*probability 0.25"),
+    "short-policy": ((HALVES, HALVES), r"row 1 .*1 policy entries", ((2, 2),)),
+    "short-rows": ((HALVES,), r"row 1 .*1 rows"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHAINS))
+def test_malformed_chain_is_rejected_naming_its_row(case):
+    rows, message, *policy = MALFORMED_CHAINS[case]
+    chain = two_state_chain(rows, *policy)
+    assert chain == two_state_chain(rows, *policy)
+    with pytest.raises(ValueError, match=message) as err:
+        stationary(chain)
+    assert not isinstance(err.value, ReducibleChainError)
 
 
 def test_build_chain_validation():
