@@ -283,6 +283,8 @@ def cmd_invert(args) -> int:
     )
     if args.out:
         linalg.save_matrix(args.out, a_hat)
+    # the engine's own rule, applied to A: I - A is symmetric exactly when A is
+    symmetric = linalg._symmetric_products(a)
     doc = {
         "n": rep.n,
         "terms": rep.terms,
@@ -295,6 +297,7 @@ def cmd_invert(args) -> int:
         "norm_below_one": rep.norm_below_one,
         "forward_error_bound": rep.forward_error_bound,
         "plan_sha256": rep.plan_sha256,
+        "symmetric_products": symmetric,
         "output": args.out,
     }
     forward = "null" if rep.forward_error_bound is None else f"{rep.forward_error_bound:.3e}"
@@ -303,7 +306,7 @@ def cmd_invert(args) -> int:
         f"matrix_muls={rep.matrix_muls} matrix_buffers={rep.matrix_buffers} "
         f"residual={rep.residual_fro:.3e} radius_lower_bound={rep.radius_lower_bound:.4f} "
         f"norm_below_one={rep.norm_below_one} forward_error_bound={forward} "
-        f"plan_sha256={rep.plan_sha256}\n"
+        f"plan_sha256={rep.plan_sha256} symmetric_products={symmetric}\n"
     )
     _write(text, args.report)
     return 0

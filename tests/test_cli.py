@@ -241,6 +241,23 @@ def test_invert_json_reports_what_ran(tmp_path, capsys):
         assert key in out
 
 
+def test_invert_reports_which_product_path_ran(tmp_path, capsys, monkeypatch):
+    a = linalg.random_test_matrix(10, seed=2)
+    src = str(tmp_path / "a.csv")
+    linalg.save_matrix_csv(src, a)
+    code, out = run(capsys, "invert", src, "--terms", "26")
+    assert code == 0 and json.loads(out)["symmetric_products"] is False  # below the floor
+    monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", 8)
+    code, out = run(capsys, "invert", src, "--terms", "26")
+    assert code == 0 and json.loads(out)["symmetric_products"] is True
+    code, out = run(capsys, "invert", src, "--terms", "26", "--format", "text")
+    assert code == 0 and "symmetric_products=True" in out
+    a[0, 1] = np.nextafter(a[0, 1], 1.0)
+    linalg.save_matrix_csv(src, a)
+    code, out = run(capsys, "invert", src, "--terms", "26")
+    assert code == 0 and json.loads(out)["symmetric_products"] is False
+
+
 def test_invert_exit_code_when_the_precheck_is_fooled(tmp_path, capsys):
     # spectral radius 1.2, which neither its traces nor its norms prove
     src = str(tmp_path / "fooled.csv")

@@ -475,6 +475,131 @@ def test_invert_memory_stays_within_the_engine_buffers(terms):
     assert peak <= rep.matrix_buffers * 8 * n * n + 2 * n * n
 
 
+# -- symmetric products ----------------------------------------------------------------
+
+
+def _programs():
+    for strategy in _STRATEGIES:
+        for terms in range(1, 120):
+            try:
+                yield plan(terms, strategy).program
+            except ValueError:
+                continue  # strategy not applicable at this length
+
+
+def test_symmetric_products_match_the_general_path(monkeypatch):
+    # floor and block lowered, so that small inputs run in several row blocks
+    # of uneven widths; both paths round each product differently, so they
+    # agree to a few units of 2^-53 relative (at most 9.1e-16 seen here)
+    monkeypatch.setattr(linalg, "_SYMMETRIC_BLOCK", 5)
+    programs = list(_programs())
+    for n in (17, 64):
+        b = np.eye(n) - random_test_matrix(n, seed=40 + n)
+        for prog in programs:
+            monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", 1)
+            assert linalg._symmetric_products(b)
+            got, products, held = evaluate(prog, b.copy())
+            assert np.array_equal(got, got.T)
+            monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", n + 1)
+            _, general_products, general_held = evaluate(prog, b.copy())
+            assert (products, held) == (general_products, general_held)
+            want = slp.evaluate(prog, _MatmulRing(b)).a
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _symmetric_sweep(rng):
+    """Symmetric B = I - A of small sizes, convergent, divergent and near-singular."""
+    for n in range(2, 7):
+        for radius in (0.3, 0.9, 0.999, 1.05, 2.0):
+            g = rng.standard_normal((n, n))
+            b = g + g.T
+            yield b * (radius / max(abs(np.linalg.eigvalsh(b))))
+        for small in (1e-3, 1e-9):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            s = np.linspace(1.0, 0.5, n)
+            s[-1] = small
+            a = (q * s) @ q.T
+            yield np.eye(n) - 0.5 * (a + a.T)
+
+
+def test_symmetric_products_keep_the_forward_error_bound(monkeypatch):
+    monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", 1)
+    monkeypatch.setattr(linalg, "_SYMMETRIC_BLOCK", 1)  # one row per block
+    outcomes = {"raised": 0, "certified": 0, "uncertified": 0}
+    for b in _symmetric_sweep(np.random.default_rng(2029)):
+        a = np.eye(len(b)) - b
+        assert linalg._symmetric_products(np.eye(len(b)) - a)
+        inverse = _exact_inverse(a)
+        for terms in (5, 26, 200):
+            try:
+                x, rep = neumann_invert(a, terms)
+            except ConvergenceError:
+                outcomes["raised"] += 1
+                continue
+            assert np.array_equal(x, x.T)
+            if rep.forward_error_bound is None:
+                outcomes["uncertified"] += 1
+                continue
+            outcomes["certified"] += 1
+            error = sum(
+                (want - Fraction(got)) ** 2
+                for want_row, got_row in zip(inverse, x.tolist())
+                for want, got in zip(want_row, got_row)
+            )
+            assert error <= Fraction(rep.forward_error_bound) ** 2, (terms, b)
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def _wigner(n: int, seed: int) -> np.ndarray:
+    """Seeded symmetric B of spectral radius about 0.7, made without a QR."""
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return (g + g.T) * (0.25 / math.sqrt(n))
+
+
+def test_general_path_is_unchanged_above_the_floor():
+    n = linalg._SYMMETRIC_FLOOR + 1
+    skewed = np.random.default_rng(7).standard_normal((n, n)) / (2 * math.sqrt(n))
+    nudged = _wigner(n, seed=8)
+    nudged[3, 5] = np.nextafter(nudged[3, 5], math.inf)  # one ulp off symmetric
+    for b in (skewed, nudged):
+        assert not linalg._symmetric_products(b)
+        for terms, strategy in ((26, "auto"), (9, "direct"), (64, "binary")):
+            prog = plan(terms, strategy).program
+            got = evaluate(prog, b.copy())[0]
+            assert np.array_equal(got, slp.evaluate(prog, _MatmulRing(b)).a)
+
+
+def test_signed_zeros_take_the_symmetric_path():
+    # +0.0 and -0.0 are equal by value, so B with such a pair takes the
+    # symmetric path; its result is symmetric by value, as array_equal compares
+    n = linalg._SYMMETRIC_FLOOR + 1
+    b = _wigner(n, seed=9)
+    b[2, 7], b[7, 2] = 0.0, -0.0
+    assert linalg._symmetric_products(b)
+    prog = plan(26, "auto").program
+    got = evaluate(prog, b.copy())[0]
+    assert np.array_equal(got, got.T)
+    want = slp.evaluate(prog, _MatmulRing(b)).a
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_symmetric_products_stay_within_the_engine_buffers():
+    # just above the floor: the half products and their mirror make no n x n
+    # temporary, so the slack of the general path's memory test still holds
+    n = linalg._SYMMETRIC_FLOOR + 1
+    a = random_test_matrix(n, seed=11)
+    assert linalg._symmetric_products(np.eye(n) - a)
+    neumann_invert(a, 26)  # plan caches and first-call allocations
+    tracemalloc.start()
+    try:
+        x, rep = neumann_invert(a, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x, x.T)
+    assert peak <= rep.matrix_buffers * 8 * n * n + 2 * n * n
+
+
 class _LiveValue:
     """Ring element counting the values ring operations made that are alive."""
 
