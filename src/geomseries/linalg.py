@@ -8,10 +8,12 @@ same polynomial as the nested baseline, so both paths agree to rounding
 while the fast path spends fewer matrix-matrix multiplications.
 
 Plans run on one in-place engine, :func:`evaluate`, which holds at most
-one n x n buffer per live register, keeps the identity as a scalar and
-counts the products it runs.  Every register is a polynomial in B, so when
-B is exactly symmetric and large enough, each product computes only its
-upper block triangle and mirrors it, and the result is exactly symmetric.
+one n x n buffer per live register, keeps the identity as a scalar, lets
+X + c share X's buffer under a pending diagonal and counts the products it
+runs.  Every register is a polynomial in B, so when B is exactly symmetric
+and large enough, each product computes only its upper block triangle and
+mirrors it, into its left operand when that dies there, and the result is
+exactly symmetric.
 An O(n^2) precheck rejects only a B that provably diverges; the answer is
 certified by its own residual, which also bounds its forward error.
 """
@@ -59,7 +61,9 @@ class NeumannReport:
     """Record of one inversion run.
 
     ``matrix_buffers`` is the most n x n matrices the engine held at once,
-    B = I - A and the result included.  ``forward_error_bound`` bounds
+    B = I - A and the result included; half products written into their
+    dying left operand make it one lower on many symmetric inputs (3, not
+    4, at 26 terms).  ``forward_error_bound`` bounds
     ||A^-1 - X||_F, and is None when the residual cannot certify X.
     """
 
@@ -194,14 +198,15 @@ def _shift_diagonal(x: np.ndarray, c: float) -> None:
 
 
 def _identity_minus(m: np.ndarray) -> np.ndarray:
-    """I - m as -m plus 1 on the diagonal: one new matrix, no identity."""
-    b = np.negative(m)
+    """I - m as -m plus 1 on the diagonal: one new C-ordered matrix, no identity."""
+    b = np.negative(m, order="C")
     _shift_diagonal(b, 1.0)
     return b
 
 
 # from measured per-product times (README): half products lose at 500 rows
-# and win from 600 on, fastest in row blocks of about 200
+# and win from 600 on, fastest in row blocks of about 200; at least 5 blocks
+# keep the temporary of a product written into its left operand to a fifth
 _SYMMETRIC_FLOOR = 600
 _SYMMETRIC_BLOCK = 200
 
@@ -226,33 +231,40 @@ def _symmetric_products(b: np.ndarray) -> bool:
 def _mirror_upper(x: np.ndarray, lo: int, hi: int) -> None:
     """Copy x's upper triangle on rows and columns lo:hi onto the lower.
 
-    Each copy moves a block or a row between disjoint row ranges, whose
-    memory never overlaps, so numpy copies it directly, with no temporary.
-    Halving keeps the large copies square, so their transposed reads stay in
-    cache; below 32 rows a one-dimensional copy per row is the cheaper call.
+    Off the diagonal, each copy moves a block between disjoint row ranges,
+    whose memory never overlaps, so numpy copies it directly, with no
+    temporary.  Halving keeps those copies square, so their transposed
+    reads stay in cache; each diagonal leaf of 64 to 128 rows is one masked
+    copy, whose overlapping source numpy buffers in a leaf-sized temporary.
     """
-    while hi - lo > 32:
+    while hi - lo > 128:
         mid = (lo + hi) // 2
         x[mid:hi, lo:mid] = x[lo:mid, mid:hi].T
         _mirror_upper(x, lo, mid)
         lo = mid
-    for i in range(lo + 1, hi):
-        x[i, lo:i] = x[lo:i, i]
+    leaf = x[lo:hi, lo:hi]
+    np.copyto(leaf, leaf.T, where=np.tri(hi - lo, k=-1, dtype=bool))
 
 
 def _half_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = x @ y for a product known to be symmetric, at about half the flops.
 
-    K = n // ``_SYMMETRIC_BLOCK`` row blocks each compute their part of the
-    upper block triangle, diagonal block included, and the rest is mirrored.
+    K = max(5, n // ``_SYMMETRIC_BLOCK``) row blocks each compute their part
+    of the upper block triangle, diagonal block included, and the rest is
+    mirrored.  ``out`` may be ``x`` itself, but not ``y``: row block r of
+    the product reads only row block r of x, which numpy copies into a
+    temporary of at most a fifth of a matrix before the block is written.
     """
     n = out.shape[0]
-    k = max(1, n // _SYMMETRIC_BLOCK)
+    k = min(n, max(5, n // _SYMMETRIC_BLOCK))
     cuts = [n * j // k for j in range(k + 1)]
     for r0, r1 in zip(cuts, cuts[1:]):
         np.matmul(x[r0:r1], y[:, r0:], out=out[r0:r1, r0:])
     _mirror_upper(out, 0, n)
     return out
+
+
+_ELEMENTWISE = {ADD: np.add, SUB: np.subtract, MUL: np.multiply}
 
 
 def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -262,31 +274,45 @@ def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
     and the most n x n buffers held at once, ``b`` and the result among
     them.  ``b`` is consumed: its buffer is reused once the INPUT register
     is dead and may be the result, so pass a copy to keep it (a ``b`` of
-    another dtype runs on a float64 copy and is left alone).  A register
+    another dtype or layout runs on a C-ordered float64 copy and is left
+    alone, so the result does not depend on b's layout).  A register
     holds a buffer or, for ONE and registers computed from ONE alone, a
     float c standing for c * I: adding, subtracting or multiplying by it
     updates a diagonal or scales, the same IEEE operations the generic
     evaluation with ``np.eye`` and ``@`` performs on every entry it does
     not merely add an exact zero to.  Each buffer returns to a free list
-    after its register's last read; a product goes into a free buffer, and
-    a sum or difference into an operand buffer that dies there.
+    once no live register is on it.
+
+    X + c, c + X and X - c cost O(n) and no copy: the result shares X's
+    buffer and carries a pending diagonal, the n values a shift of the
+    diagonal would write.  A sum or difference writes its result into an
+    operand buffer that dies there, or a free one, then writes the
+    diagonal over it.  A product, and the output, first writes its
+    operands' pending diagonals into their buffers; a register on the same
+    buffer keeps the buffer's old diagonal as its own pending one.
 
     Products take one of two paths, chosen once per call by
     ``_symmetric_products(b)``.  The general path runs one ``np.matmul``
-    per product, and its result equals the generic evaluation entry for
-    entry.  When b is at least ``_SYMMETRIC_FLOOR`` rows wide and equal to
-    its transpose, every register is a symmetric polynomial in b, and each
-    product computes only its upper block triangle in n // ``_SYMMETRIC_BLOCK``
-    row blocks and mirrors it in place: about 3/4 of the time at n = 1000.
-    The result is then exactly symmetric and differs from the generic
-    evaluation by rounding; the counts and buffers are the same.
+    per product into a free buffer, and its result equals the generic
+    evaluation entry for entry.  When b is at least ``_SYMMETRIC_FLOOR``
+    rows wide and equal to its transpose, every register is a symmetric
+    polynomial in b, and each product computes only its upper block
+    triangle in row blocks and mirrors it in place (``_half_matmul``):
+    about 3/4 of the time at n = 1000.  A product whose left operand's
+    buffer dies there, and is not the right operand's, is written into
+    that buffer.  The result is then exactly symmetric and differs from
+    the generic evaluation by rounding; the products are the same, and
+    the buffers the same or fewer.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
     n = b.shape[0]
-    matmul = _half_matmul if _symmetric_products(b) else np.matmul
+    half = _symmetric_products(b)
+    matmul = _half_matmul if half else np.matmul
     instrs = program.instrs
     _, last = _lengths_and_last_reads(program)  # a register nobody reads dies at once
     regs: list = [None] * len(instrs)
+    pending: list = [None] * len(instrs)  # a register's diagonal, when not its buffer's
+    users: dict[int, list[int]] = {}  # id of a buffer in use -> the live registers on it
     free: list[np.ndarray] = []
     held, products = 1, 0  # b is the first buffer
 
@@ -297,52 +323,91 @@ def evaluate(program: SlpProgram, b: np.ndarray) -> tuple[np.ndarray, int, int]:
         held += 1
         return np.empty((n, n))
 
+    def diagonal(r: int) -> np.ndarray:
+        d = pending[r]
+        return regs[r].diagonal() if d is None else d
+
+    def dies(v: np.ndarray, i: int) -> bool:
+        return all(last[s] == i for s in users[id(v)])
+
+    def settle(r: int) -> None:
+        """Write r's pending diagonal into its buffer."""
+        d, v = pending[r], regs[r]
+        if d is not None:
+            for s in users[id(v)]:
+                if pending[s] is None:  # the one register the buffer's diagonal was
+                    pending[s] = v.diagonal().copy()
+            np.fill_diagonal(v, d)
+            pending[r] = None
+
     for i, ins in enumerate(instrs):
-        if ins.op == ONE:
+        op, ra, rb, d = ins.op, ins.a, ins.b, None
+        if op == ONE:
             out = 1.0
-        elif ins.op == INPUT:
+        elif op == INPUT:
             out = b
         else:
-            x, y = regs[ins.a], regs[ins.b]
+            x, y = regs[ra], regs[rb]
             xs, ys = isinstance(x, float), isinstance(y, float)
-            if ins.op == MUL:
+            if op == MUL:
                 products += 1
             if xs and ys:
-                out = x * y if ins.op == MUL else x + y if ins.op == ADD else x - y
-            elif ins.op == MUL and not (xs or ys):
-                out = matmul(x, y, out=take())  # never aliases an operand
+                out = x * y if op == MUL else x + y if op == ADD else x - y
+            elif op != MUL and not (op == SUB and xs) and (xs or ys):
+                # X + c, c + Y, X - c: the same buffer and a new diagonal
+                r, c = (rb, x) if xs else (ra, y)
+                out, d = regs[r], diagonal(r) + (c if op == ADD else -c)
+            elif op == MUL and not (xs or ys):
+                if x is y and ra != rb:  # two diagonals on one buffer: copy one out
+                    r = rb if pending[rb] is not None else ra
+                    users[id(regs[r])].remove(r)
+                    regs[r] = take()
+                    np.copyto(regs[r], x)
+                    users[id(regs[r])] = [r]
+                settle(ra)
+                settle(rb)
+                x, y = regs[ra], regs[rb]
+                # row block r of x @ y reads only row block r of x
+                out = x if half and x is not y and dies(x, i) else take()
+                matmul(x, y, out=out)
             else:
-                # elementwise: an operand buffer read here for the last time takes the result
+                # elementwise: an operand buffer that dies here takes the result
                 out = next(
-                    (v for r, v in ((ins.a, x), (ins.b, y))
-                     if last[r] == i and isinstance(v, np.ndarray)),
-                    None,
+                    (v for v in (x, y) if isinstance(v, np.ndarray) and dies(v, i)), None
                 )
                 if out is None:
                     out = take()
-                if not (xs or ys):
-                    (np.add if ins.op == ADD else np.subtract)(x, y, out=out)
-                elif ins.op == MUL:
-                    np.multiply(x, y, out=out)
-                elif ins.op == SUB and xs:  # c - Y = -Y + c
+                f = _ELEMENTWISE[op]
+                # the result's diagonal first, while the operands still hold it
+                diag = None
+                if (op == SUB and xs) or pending[ra] is not None or pending[rb] is not None:
+                    diag = f(x if xs else diagonal(ra), y if ys else diagonal(rb))
+                if op == SUB and xs:  # c - Y = -Y + c; c - y and -y + c round alike
                     np.negative(y, out=out)
-                    _shift_diagonal(out, x)
-                else:  # X + c, c + Y, X - c
-                    z, c = (y, x) if xs else (x, y)
-                    if out is not z:
-                        np.copyto(out, z)
-                    _shift_diagonal(out, c if ins.op == ADD else -c)
-        regs[i] = out
-        for r in (ins.a, ins.b, i):  # leaves have no operands
+                else:
+                    f(x, y, out=out)
+                if diag is not None:
+                    np.fill_diagonal(out, diag)
+        regs[i], pending[i] = out, d
+        if isinstance(out, np.ndarray):
+            users.setdefault(id(out), []).append(i)
+        for r in (ra, rb, i):  # leaves have no operands
             if r is not None and last[r] == i and regs[r] is not None:
-                v, regs[r] = regs[r], None
-                if isinstance(v, np.ndarray) and (r == i or v is not out):
-                    free.append(v)
-    out = regs[program.output]
+                v, regs[r], pending[r] = regs[r], None, None
+                if isinstance(v, np.ndarray):
+                    on = users[id(v)]
+                    on.remove(r)
+                    if not on:
+                        del users[id(v)]
+                        free.append(v)
+    r = program.output
+    out = regs[r]
     if isinstance(out, float):
         c, out = out, take()
         out.fill(0.0)
         _shift_diagonal(out, c)
+    else:
+        settle(r)
     return out, products, held
 
 
@@ -479,10 +544,13 @@ def save_matrix_csv(path: str, a) -> None:
 def load_matrix_csv(path: str) -> np.ndarray:
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                rows.append([float(v) for v in line.split(",")])
+                try:
+                    rows.append([float(v) for v in line.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     width = len(rows[0])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -374,16 +375,23 @@ class _MatmulRing:
         self.a = a
 
     def __add__(self, other):
-        return _MatmulRing(self.a + other.a)
+        return type(self)(self.a + other.a)
 
     def __sub__(self, other):
-        return _MatmulRing(self.a - other.a)
+        return type(self)(self.a - other.a)
 
     def __mul__(self, other):
-        return _MatmulRing(self.a @ other.a)
+        return type(self)(self.a @ other.a)
 
     def ring_one(self):
-        return _MatmulRing(np.eye(self.a.shape[0]))
+        return type(self)(np.eye(self.a.shape[0]))
+
+
+class _HalfProductRing(_MatmulRing):
+    """The same ring with each product a half product into a fresh matrix."""
+
+    def __mul__(self, other):
+        return _HalfProductRing(linalg._half_matmul(self.a, other.a, np.empty_like(self.a)))
 
 
 _STRATEGIES = ("direct", "binary", "ternary", "prime:3", "mixed:11,7,5,3,2", "recurrence", "auto")
@@ -458,6 +466,26 @@ def test_engine_leaves_its_inputs_alone(terms):
     assert np.array_equal(c, c_copy)
 
 
+def test_engine_results_do_not_depend_on_the_input_layout(monkeypatch):
+    # the engine runs on a C-ordered copy of a b laid out otherwise, so both
+    # paths give the bits of the C-ordered b; products of Fortran-ordered
+    # operands round otherwise
+    n = 130
+    b = np.eye(n) - random_test_matrix(n, seed=3)
+    skew = b + np.triu(np.full((n, n), 1e-3))
+    monkeypatch.setattr(linalg, "_SYMMETRIC_BLOCK", 5)
+    for floor, m in ((1, b), (n + 1, b), (1, skew)):
+        monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", floor)
+        for terms in (26, 677, 4096):
+            prog = plan(terms, "auto").program
+            f = np.asfortranarray(m)
+            got = evaluate(prog, f)[0]
+            assert np.array_equal(f, m)  # left alone
+            assert got.tobytes() == evaluate(prog, m.copy())[0].tobytes()
+    a = np.asfortranarray(random_test_matrix(n, seed=3))
+    assert neumann_invert(a, 677)[0].tobytes() == neumann_invert(a.copy(order="C"), 677)[0].tobytes()
+
+
 @pytest.mark.parametrize("terms", [26, 677, 458330])
 def test_invert_memory_stays_within_the_engine_buffers(terms):
     n = 200
@@ -490,7 +518,8 @@ def _programs():
 def test_symmetric_products_match_the_general_path(monkeypatch):
     # floor and block lowered, so that small inputs run in several row blocks
     # of uneven widths; both paths round each product differently, so they
-    # agree to a few units of 2^-53 relative (at most 9.1e-16 seen here)
+    # agree to a few units of 2^-53 relative (at most 9.1e-16 seen here).
+    # Products written into their dying left operand can only save buffers
     monkeypatch.setattr(linalg, "_SYMMETRIC_BLOCK", 5)
     programs = list(_programs())
     for n in (17, 64):
@@ -502,9 +531,34 @@ def test_symmetric_products_match_the_general_path(monkeypatch):
             assert np.array_equal(got, got.T)
             monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", n + 1)
             _, general_products, general_held = evaluate(prog, b.copy())
-            assert (products, held) == (general_products, general_held)
+            assert products == general_products and held <= general_held
             want = slp.evaluate(prog, _MatmulRing(b)).a
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_symmetric_path_equals_generic_half_product_evaluation(monkeypatch):
+    # pending diagonals and products written into a dying operand change no
+    # bit: every product sees the operands a fresh half product would
+    monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", 1)
+    monkeypatch.setattr(linalg, "_SYMMETRIC_BLOCK", 5)  # K = 5 at 17 rows, 12 at 64
+    programs = list(_programs())
+    for n in (17, 64):
+        b = np.eye(n) - random_test_matrix(n, seed=40 + n)
+        for prog in programs:
+            got, products, _ = evaluate(prog, b.copy())
+            assert np.array_equal(got, slp.evaluate(prog, _HalfProductRing(b)).a)
+            assert products == prog.declared_muls
+
+
+@pytest.mark.parametrize("terms,general,symmetric", [(26, 4, 3), (677, 5, 4), (4096, 6, 5)])
+def test_symmetric_products_hold_one_buffer_less(monkeypatch, terms, general, symmetric):
+    # the product that the join of each level makes writes into its dying
+    # left operand; B = I - A is among the buffers
+    b = np.eye(8) - random_test_matrix(8, seed=5)
+    prog = plan(terms, "auto").program
+    assert evaluate(prog, b.copy())[2] == general
+    monkeypatch.setattr(linalg, "_SYMMETRIC_FLOOR", 1)
+    assert evaluate(prog, b.copy())[2] == symmetric
 
 
 def _symmetric_sweep(rng):
@@ -597,6 +651,7 @@ def test_symmetric_products_stay_within_the_engine_buffers():
     finally:
         tracemalloc.stop()
     assert np.array_equal(x, x.T)
+    assert rep.matrix_buffers == 3
     assert peak <= rep.matrix_buffers * 8 * n * n + 2 * n * n
 
 
@@ -699,4 +754,12 @@ def test_csv_loader_rejects_ragged_rows(tmp_path):
     with open(path, "w") as fh:
         fh.write("1.0,2.0\n3.0\n")
     with pytest.raises(ValueError):
+        load_matrix_csv(path)
+
+
+def test_csv_loader_names_the_file_and_line_of_a_bad_entry(tmp_path):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write("1.0,2.0\n\n3.0,x\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:3: .*'x'"):
         load_matrix_csv(path)
