@@ -25,7 +25,6 @@ from .planner import (
     predicted_cost,
 )
 from .slp import (
-    DensePoly,
     Instr,
     ProgramBuilder,
     ProgramError,
@@ -52,7 +51,6 @@ __all__ = [
     "Strategy",
     "plan",
     "predicted_cost",
-    "DensePoly",
     "Instr",
     "ProgramBuilder",
     "ProgramError",

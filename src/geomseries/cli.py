@@ -82,14 +82,20 @@ def _parse_strategies(items) -> list[Strategy]:
 
 def _plans(strategies: list[Strategy], lo: int, hi: int):
     """(n, strategy, report) for every length in [lo, hi] and every strategy
-    that applies there; a strategy that does not is skipped at that length."""
+    that applies there; a strategy that does not is skipped at that length.
+    After the sweep, raises ValueError if a strategy planned no length."""
+    idle = dict.fromkeys(strategies)
     for n in range(lo, hi + 1):
         for strat in strategies:
             try:
                 rep = build_plan(n, strat)
             except ValueError:
                 continue
+            idle.pop(strat, None)
             yield n, strat, rep
+    if idle:
+        labels = ", ".join(s.label() for s in idle)
+        raise ValueError(f"no length in [{lo}, {hi}] has a plan for strategy {labels}")
 
 
 def _count_row(n: int, strat: Strategy, rep: PlanReport) -> dict:

@@ -245,23 +245,23 @@ def _closed_classes(chain: ResidueChain) -> list[tuple[int, ...]]:
     return closed
 
 
-def _verify_fixed_point(chain: ResidueChain, scales: np.ndarray, nums: list[int], den: int) -> bool:
+def _verify_fixed_point(chain: ResidueChain, nums: list[int], den: int) -> bool:
     """Whether nums / den is an exact stationary distribution of ``chain``.
 
     Checked in integers: the numerators are >= 0 and sum to den > 0, and with
-    Lq = lcm(scales), the row denominators from _row_scales, the flow into
-    every t, sum_j nums_j * (p_jt * Lq), equals nums_t * Lq: Python ints in
-    object arrays, summed over the edges sorted by target.
+    Lq the lcm of the row denominators Q_j, the flow into every t,
+    sum_j nums_j * (p_jt * Lq), equals nums_t * Lq: Python ints in object
+    arrays, summed over the edges sorted by target.
     """
     if len(nums) != chain.modulus or den <= 0 or any(v < 0 for v in nums) or sum(nums) != den:
         return False
-    ptr, targets, weights, _ = chain._csr
+    ptr, targets, weights, scales = chain._csr
     lq = math.lcm(*set(scales.tolist()))
     v = np.array(nums, dtype=object)
     by_target = np.argsort(targets)
     into = targets[by_target]
     starts = np.flatnonzero(np.r_[True, into[1:] != into[:-1]])
-    row_flow = v * (lq // np.asarray(scales, dtype=object))
+    row_flow = v * (lq // scales.astype(object))
     edge_flow = np.repeat(row_flow, np.diff(ptr)) * weights.astype(object)
     flow = np.zeros(chain.modulus, dtype=object)
     flow[into[starts]] = np.add.reduceat(edge_flow[by_target], starts)
@@ -278,25 +278,17 @@ _MAX_STEPS = 1024
 _CHECKPOINT_GROWTH = 1.25  # reconstruct each time the lifted bits grow by this factor
 
 
-def _row_scales(chain: ResidueChain) -> np.ndarray:
-    """Common denominator Q_j of each row's probabilities, int64; a chain
-    given by rows is checked to be stochastic when its arrays are made."""
-    return chain._csr[3]
-
-
-def _integer_system(
-    chain: ResidueChain, states: list[int], scales: np.ndarray
-) -> tuple[np.ndarray, ...]:
+def _integer_system(chain: ResidueChain, states: list[int]) -> tuple[np.ndarray, ...]:
     """Integer form of the stationary system after column scaling.
 
-    With Q_j = scales[j], the common denominator of row j's probabilities
-    (the base P_j of a residue chain), and y_j = pi_j / Q_j, balance row t
+    With Q_j the common denominator of row j's probabilities (the base
+    P_j of a residue chain) and y_j = pi_j / Q_j, balance row t
     gets Q_j q, the stored numerator, for each edge j -> t of probability q
     and -Q_t on the diagonal; the last row is the normalization
     sum(Q_j y_j) = 1.  Returns int64 COO triples sorted by row, the edges
     in the order of ``states`` and of each row, and the Q_j of ``states``.
     """
-    ptr, targets, nums, _ = chain._csr
+    ptr, targets, nums, scales = chain._csr
     states = np.asarray(states, dtype=np.int64)
     m = len(states)
     pos = np.zeros(chain.modulus, dtype=np.int64)
@@ -306,7 +298,7 @@ def _integer_system(
     edges = np.arange(len(cols)) + np.repeat(ptr[states] - (np.cumsum(count) - count), count)
     rows = pos[targets[edges]]
     keep = rows < m - 1
-    scale, diag = np.asarray(scales, dtype=np.int64)[states], np.arange(m)
+    scale, diag = scales[states], np.arange(m)
     rows = np.concatenate([rows[keep], diag[:-1], np.full(m, m - 1)])
     cols = np.concatenate([cols[keep], diag[:-1], diag])
     vals = np.concatenate([nums[edges][keep], -scale[:-1], scale])
@@ -447,9 +439,7 @@ def _factored_solver(a: np.ndarray):
     return solve
 
 
-def _refine_solve(
-    chain: ResidueChain, states: list[int], scales: np.ndarray
-) -> tuple[list[int], int, SolverFacts]:
+def _refine_solve(chain: ResidueChain, states: list[int]) -> tuple[list[int], int, SolverFacts]:
     """Exact stationary distribution, zero off ``states``, by numeric
     refinement on exact integer residuals (Wan, J. Symb. Comput. 41(6), 2006).
 
@@ -466,7 +456,7 @@ def _refine_solve(
     exact fixed point is returned.
     """
     m = len(states)
-    rows, cols, vals, scale = _integer_system(chain, states, scales)
+    rows, cols, vals, scale = _integer_system(chain, states)
     solve = _factored_solver(np.bincount(rows * m + cols, vals, m * m).reshape(m, m))
     starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
     row_sum = int(np.add.reduceat(np.abs(vals), starts).max())
@@ -507,7 +497,7 @@ def _refine_solve(
         next_bits = _CHECKPOINT_GROWTH * bits
         attempts += 1
         candidate = _reconstruct(value, bits, scale, states, chain.modulus)
-        if candidate is not None and _verify_fixed_point(chain, scales, *candidate):
+        if candidate is not None and _verify_fixed_point(chain, *candidate):
             return (*candidate, SolverFacts(m, step, bits, attempts))
     raise CertificationError(f"stationary refinement not certified in {_MAX_STEPS} steps ({bits} bits)")
 
@@ -527,11 +517,10 @@ def stationary(chain: ResidueChain) -> StationaryResult:
     result is always checked to be an exact fixed point before being
     returned.
     """
-    scales = _row_scales(chain)
     closed = _closed_classes(chain)
     if len(closed) != 1:
         raise ReducibleChainError(closed)
-    nums, den, facts = _refine_solve(chain, list(closed[0]), scales)
+    nums, den, facts = _refine_solve(chain, list(closed[0]))
     # sums over the common denominator stay in integers; v / den rounds
     # correctly, as float(Fraction(v, den)) does
     base_nums = dict.fromkeys(chain.bases, 0)

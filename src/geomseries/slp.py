@@ -243,92 +243,6 @@ def evaluate_mod(program: SlpProgram, x: int, modulus: int) -> int:
     return regs[program.output]
 
 
-class DensePoly:
-    """Exact integer-coefficient polynomial; index = degree, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "DensePoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "DensePoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "DensePoly":
-        return cls((0, 1))
-
-    @classmethod
-    def all_ones(cls, n: int) -> "DensePoly":
-        return cls((1,) * n)
-
-    def ring_one(self) -> "DensePoly":
-        return DensePoly.one()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DensePoly(out)
-
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        out = list(self.coeffs)
-        out.extend([0] * (len(other.coeffs) - len(out)))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return DensePoly(out)
-
-    def __mul__(self, other: "DensePoly") -> "DensePoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return DensePoly.zero()
-        # Iterate over the sparser factor; big-N series factors are sparse.
-        nza = [(i, c) for i, c in enumerate(a) if c]
-        nzb = [(j, c) for j, c in enumerate(b) if c]
-        if len(nzb) < len(nza):
-            nza, nzb = nzb, nza
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in nza:
-            for j, d in nzb:
-                out[i + j] += c * d
-        return DensePoly(out)
-
-    def __call__(self, x0: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
-
-    def __repr__(self) -> str:
-        return f"DensePoly({list(self.coeffs)})"
-
-
 _FAST_DIGIT_DTYPES = {8: "u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 _UNIT_DIGITS = b"\x7f\x80\x81"  # offset 8-bit digits of -1, 0 and 1
 _MAX_ORACLE_LENGTH = 1 << 24
@@ -537,15 +451,20 @@ def _oracle(program: SlpProgram) -> tuple[int, int, int, int, int]:
     return value, bits, out_length, decodes, retries
 
 
-def eval_poly_oracle(program: SlpProgram) -> DensePoly:
+def eval_poly_oracle(program: SlpProgram) -> tuple[int, ...]:
     """Exact symbolic result of the program with x = the indeterminate.
 
-    For a correct plan this is the all-ones vector of length
-    ``series_length``.  Equivalent to ``evaluate(program, DensePoly.x())``
-    but packs coefficients into big integers so large plans stay cheap.
+    Returns the coefficients as a tuple indexed by degree, trailing zeros
+    trimmed, so the zero polynomial is ``()``.  For a correct plan this is
+    ``(1,) * series_length``.  Running the program over a schoolbook
+    polynomial ring gives the same coefficients; the oracle packs them into
+    big integers so large plans stay cheap.
     """
     value, bits, length, _, _ = _oracle(program)
-    return DensePoly(_coefficients(value, length, bits))
+    coeffs = _coefficients(value, length, bits)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def oracle_facts(program: SlpProgram) -> OracleFacts:
@@ -555,7 +474,7 @@ def oracle_facts(program: SlpProgram) -> OracleFacts:
     decoding.  Their difference has coefficients below 2^(bits-1) in
     magnitude, and such a polynomial vanishes at 2^bits only if it is
     zero, so the comparison is equivalent to
-    ``eval_poly_oracle(program) == DensePoly.all_ones(series_length)``.
+    ``eval_poly_oracle(program) == (1,) * series_length``.
     """
     value, bits, _, decodes, retries = _oracle(program)
     ones = _repeated(1, program.series_length, bits)
@@ -587,6 +506,13 @@ def to_json(program: SlpProgram) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _require_int(what: str, value) -> None:
+    # bool is an int subclass and a float may hold an integral value; both
+    # would only fail later, as bare TypeErrors inside an evaluator
+    if type(value) is not int:
+        raise ProgramError(f"malformed program document: {what} {value!r} is not an integer")
+
+
 def from_json(text: str) -> SlpProgram:
     try:
         doc = json.loads(text)
@@ -595,12 +521,18 @@ def from_json(text: str) -> SlpProgram:
                 f"unsupported program format version {doc.get('version')!r}"
             )
         instrs = []
-        for entry in doc["instrs"]:
+        for i, entry in enumerate(doc["instrs"]):
             op = entry["op"]
             if op in _BINARY_OPS:
+                # a missing operand (null) is left for validate to name
+                for v in (entry["a"], entry["b"]):
+                    if v is not None:
+                        _require_int(f"instr {i}: operand", v)
                 instrs.append(Instr(op, entry["a"], entry["b"]))
             else:
                 instrs.append(Instr(op))
+        for field in ("output", "series_length"):
+            _require_int(field, doc[field])
         return SlpProgram(tuple(instrs), doc["output"], doc["series_length"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ProgramError):
@@ -618,7 +550,6 @@ __all__ = [
     "SlpProgram",
     "ProgramBuilder",
     "ProgramError",
-    "DensePoly",
     "evaluate",
     "evaluate_mod",
     "eval_poly_oracle",

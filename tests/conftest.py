@@ -33,20 +33,60 @@ def brute_series(n: int, x):
     return total
 
 
-def poly_mul(a: list, b: list) -> list:
-    """Schoolbook convolution over exact ints (test-side reference)."""
+def poly_mul(a, b) -> list:
+    """Schoolbook convolution over exact ints (test-side reference).
+
+    Loops over the nonzeros of the sparser factor: the factors of long
+    series plans are mostly zeros.
+    """
+    nza = [(i, c) for i, c in enumerate(a) if c]
+    nzb = [(j, d) for j, d in enumerate(b) if d]
+    if len(nzb) < len(nza):
+        nza, nzb = nzb, nza
     out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
+    for i, c in nza:
+        for j, d in nzb:
+            out[i + j] += c * d
     return out
 
 
-def poly_add(a: list, b: list) -> list:
+def poly_add(a, b) -> list:
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
         out[i] += c
     return out
+
+
+class NaivePoly(tuple):
+    """The naive reference ring for the packed oracle: integer coefficients
+    indexed by degree, trailing zeros trimmed, so a value equals the tuple
+    that ``eval_poly_oracle`` returns for the same polynomial."""
+
+    def __new__(cls, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return super().__new__(cls, cs)
+
+    @classmethod
+    def x(cls):
+        return cls((0, 1))
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    @classmethod
+    def all_ones(cls, n: int):
+        return cls((1,) * n)
+
+    def __add__(self, other):
+        return NaivePoly(poly_add(self, other))
+
+    def __sub__(self, other):
+        return NaivePoly(poly_add(self, [-c for c in other]))
+
+    def __mul__(self, other):
+        return NaivePoly(poly_mul(self, other))

@@ -1,4 +1,4 @@
-from conftest import brute_series, polynomial_of_register, small_chain
+from conftest import NaivePoly, brute_series, polynomial_of_register, small_chain
 from geomseries import chains
 from geomseries.chains import (
     RECURRENCE_SIZES,
@@ -9,7 +9,6 @@ from geomseries.chains import (
 )
 from geomseries.planner import plan
 from geomseries.slp import (
-    DensePoly,
     ProgramBuilder,
     eval_poly_oracle,
     evaluate,
@@ -48,7 +47,7 @@ def test_small_chain_mul_counts_are_pinned():
 def test_small_chains_expand_to_all_ones():
     assert SMALL_SIZES == (2, 3, 5, 7, 11)
     for p in SMALL_SIZES:
-        assert eval_poly_oracle(small_chain(p)) == DensePoly.all_ones(p)
+        assert eval_poly_oracle(small_chain(p)) == NaivePoly.all_ones(p)
 
 
 def test_small_chain_power_registers_hold_powers():
@@ -63,7 +62,7 @@ def test_small_chain_power_registers_hold_powers():
         assert pieces.powers, size
         for e, reg in pieces.powers.items():
             got = polynomial_of_register(program, reg)
-            assert got == DensePoly([0] * e + [1]), (size, e)
+            assert got == NaivePoly([0] * e + [1]), (size, e)
 
 
 # -- binary rule ----------------------------------------------------------------
@@ -127,7 +126,7 @@ def test_recurrence_chain_level_zero_is_constant_one():
     # level 0 is the size-1 series, the constant 1
     program = plan(RECURRENCE_SIZES[0]).program
     assert program.series_length == 1 and program.declared_muls == 0
-    assert eval_poly_oracle(program) == DensePoly.one()
+    assert eval_poly_oracle(program) == NaivePoly.one()
 
 
 def test_all_chains_evaluate_to_length_at_one():

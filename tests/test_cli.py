@@ -337,6 +337,9 @@ MALFORMED = [
     (("plan", "--n", "199999", "--strategy", "mixed:100000"), 2, "mixed bases are capped at 1024"),
     (("verify", "--min", "1", "--max", "5", "--strategy", "bogus"), 2, ""),
     (("count", "--min", "1", "--max", "5", "--strategy", "prime:x"), 2, "strategy 'prime:x'"),
+    (("verify", "--min", "70000", "--max", "70000", "--strategy", "direct"), 2, "strategy direct"),
+    (("verify", "--min", "10", "--max", "10", "--strategy", "prime:3"), 2, "strategy prime:3"),
+    (("count", "--min", "10", "--max", "10", "--strategy", "prime:3"), 2, "strategy prime:3"),
     (("markov", "--bases", "x"), 2, "argument --bases"),
     (("markov", "--bases", ","), 2, "argument --bases"),
     (("markov", "--bases", "2,2"), 2, ""),

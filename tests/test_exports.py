@@ -45,3 +45,16 @@ def test_only_declared_dependencies_are_imported(tree, extra):
         if name not in ALLOWED | extra
     ]
     assert stray == []
+
+
+def test_readme_quickstart_runs_and_states_its_values():
+    # the block's imports and calls are the public API as README shows it
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    rep, report = names["rep"], names["report"]
+    assert rep.muls == 14
+    assert report.matrix_muls == 4
+    assert names["eval_poly_oracle"](rep.program) == (1,) * 677

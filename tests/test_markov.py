@@ -354,7 +354,7 @@ def stationary_system(bases):
 def _stationary_system(bases):
     chain = build_chain(bases)
     states = list(markov._closed_classes(chain)[0])
-    rows, cols, vals, _ = markov._integer_system(chain, states, markov._row_scales(chain))
+    rows, cols, vals, _ = markov._integer_system(chain, states)
     m = len(states)
     return np.bincount(rows * m + cols, vals, m * m).reshape(m, m)
 
@@ -395,10 +395,9 @@ def test_refine_solve_holds_one_system_matrix_and_its_temporaries():
     # inverse beside the system matrix, as LAPACK's is, reads 2.06
     chain = build_chain((11, 7, 5, 2))
     states = list(markov._closed_classes(chain)[0])
-    scales = markov._row_scales(chain)
     tracemalloc.start()
     try:
-        markov._refine_solve(chain, states, scales)
+        markov._refine_solve(chain, states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,10 +410,9 @@ def test_refine_solve_holds_the_system_and_a_quarter_matrix_of_scratch():
     # refinement's vectors; a fresh array per block product reads 1.58
     chain = build_chain((11, 7, 5, 2))
     states = list(markov._closed_classes(chain)[0])
-    scales = markov._row_scales(chain)
     tracemalloc.start()
     try:
-        markov._refine_solve(chain, states, scales)
+        markov._refine_solve(chain, states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,36 +517,34 @@ def test_the_mixed_table_is_the_one_memo_of_a_solve(monkeypatch):
 
 def test_integer_certificate_accepts_only_exact_fixed_points():
     chain = build_chain((3, 2))
-    scales = markov._row_scales(chain)
-    assert markov._verify_fixed_point(chain, scales, [1, 2, 2, 1, 2, 2], 10)
-    assert markov._verify_fixed_point(chain, scales, [2, 4, 4, 2, 4, 4], 20)
+    assert markov._verify_fixed_point(chain, [1, 2, 2, 1, 2, 2], 10)
+    assert markov._verify_fixed_point(chain, [2, 4, 4, 2, 4, 4], 20)
     # sums to 1, but not a fixed point
-    assert not markov._verify_fixed_point(chain, scales, [2, 1, 2, 1, 2, 2], 10)
+    assert not markov._verify_fixed_point(chain, [2, 1, 2, 1, 2, 2], 10)
     # a negative entry in a candidate that sums to 1
-    assert not markov._verify_fixed_point(chain, scales, [-1, 3, 2, 2, 2, 2], 10)
+    assert not markov._verify_fixed_point(chain, [-1, 3, 2, 2, 2, 2], 10)
     # the wrong length, with every other condition met
-    assert not markov._verify_fixed_point(chain, scales, [1, 2, 2, 1, 2, 2, 0], 10)
-    assert not markov._verify_fixed_point(chain, scales, [0] * 6, 0)
+    assert not markov._verify_fixed_point(chain, [1, 2, 2, 1, 2, 2, 0], 10)
+    assert not markov._verify_fixed_point(chain, [0] * 6, 0)
 
 
 def test_integer_certificate_at_770_states():
     chain = build_chain((11, 7, 5, 2))
-    scales = markov._row_scales(chain)
-    nums, den, _ = markov._refine_solve(chain, list(markov._closed_classes(chain)[0]), scales)
+    nums, den, _ = markov._refine_solve(chain, list(markov._closed_classes(chain)[0]))
     assert len(nums) == 770
-    assert markov._verify_fixed_point(chain, scales, nums, den)
-    assert markov._verify_fixed_point(chain, scales, [2 * v for v in nums], 2 * den)
+    assert markov._verify_fixed_point(chain, nums, den)
+    assert markov._verify_fixed_point(chain, [2 * v for v in nums], 2 * den)
     i, k = [j for j, v in enumerate(nums) if v][:2]
     # one unit moved between two states: sums to 1, but not a fixed point
     moved = list(nums)
     moved[i] -= 1
     moved[k] += 1
-    assert not markov._verify_fixed_point(chain, scales, moved, den)
+    assert not markov._verify_fixed_point(chain, moved, den)
     negative = list(nums)
     negative[i], negative[k] = -1, nums[k] + nums[i] + 1
     assert sum(negative) == den
-    assert not markov._verify_fixed_point(chain, scales, negative, den)
-    assert not markov._verify_fixed_point(chain, scales, [*nums, 0], den)
+    assert not markov._verify_fixed_point(chain, negative, den)
+    assert not markov._verify_fixed_point(chain, [*nums, 0], den)
 
 
 def test_chain_policy_is_the_walker_table():
@@ -629,7 +625,7 @@ def test_integer_system_is_the_fraction_rows_bit_for_bit(bases, modulus):
     expected = reference_integer_system(reference, states)
     given = ResidueChain(chain.bases, chain.modulus, chain.rows, chain.policy)
     for c in (chain, reference, given):
-        got = markov._integer_system(c, states, markov._row_scales(c))
+        got = markov._integer_system(c, states)
         assert [a.dtype for a in got] == [a.dtype for a in expected]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     assert markov._closed_classes(given) == markov._closed_classes(chain)

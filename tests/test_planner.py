@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import NaivePoly
 from geomseries import chains
 from geomseries.linalg import plan_digest
 from geomseries.planner import (
@@ -20,7 +21,6 @@ from geomseries.planner import (
     predicted_cost,
 )
 from geomseries.slp import (
-    DensePoly,
     ProgramBuilder,
     eval_poly_oracle,
     evaluate_mod,
@@ -121,7 +121,7 @@ def test_prime_power_closed_form_is_exact():
 def test_prime_power_zero_exponent_is_identity_plan():
     rep = plan(1, "prime:5")
     assert rep.n == 1 and rep.muls == 0
-    assert eval_poly_oracle(rep.program) == DensePoly.one()
+    assert eval_poly_oracle(rep.program) == NaivePoly.one()
 
 
 def test_prime_power_fallback_base_without_builtin_chain():
@@ -148,14 +148,14 @@ def test_mixed_base_two_step_chosen_for_two_mod_three():
 def test_mixed_length_one_is_empty_plan():
     rep = plan(1, "mixed:3,2")
     assert rep.muls == 0
-    assert eval_poly_oracle(rep.program) == DensePoly.one()
+    assert eval_poly_oracle(rep.program) == NaivePoly.one()
 
 
 def test_mixed_six_uses_base_three_then_terminal_two():
     rep = plan(6, "mixed:3,2")
     assert rep.reduction_trace == ((6, 3, 0),)
     assert rep.muls == 3
-    assert eval_poly_oracle(rep.program) == DensePoly.all_ones(6)
+    assert eval_poly_oracle(rep.program) == NaivePoly.all_ones(6)
 
 
 def test_mixed_count_walker_matches_built_plans():
